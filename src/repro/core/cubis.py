@@ -271,7 +271,14 @@ def solve_cubis(
         bounded retries and soft timeouts, and the result carries a
         :class:`~repro.resilience.policy.ResilienceReport`; the
         ``backend`` / ``oracle`` arguments are ignored in favour of the
-        policy's rungs.
+        policy's rungs.  The ladder wraps each rung's backend calls only:
+        with ``memoise=True`` and ``validate_steps=True`` every MILP rung
+        consults the certificate pool and, for a named backend, the
+        LP-relaxation screen before its MILP, and a verdict from either
+        counts as that rung's answer (an LP-screen call that raises is a
+        rung failure and escalates like a MILP failure).  A clean
+        default ladder therefore returns exactly what
+        ``session="fresh"`` returns.
     memoise:
         Enable the per-solve performance layer (default on): the MILP
         skeleton is assembled once and re-coefficiented per step, and
@@ -281,9 +288,13 @@ def solve_cubis(
         when the MILP would also have reported feasible — but the
         certifying strategy may replace the MILP maximiser as the step's
         witness.  ``memoise=False`` restores the cold, rebuild-every-step
-        path (the benchmark baseline).  Certificate short-circuits apply
-        to the ``"milp"`` oracle without a resilience policy; the ``"dp"``
-        oracle and ladder runs keep their exact step-by-step semantics.
+        path (the benchmark baseline).  Certificate short-circuits, the
+        LP screen and certified-level jumps apply to the ``"milp"``
+        oracle and to the MILP rungs of a resilience policy with
+        ``validate_steps=True``; the ``"dp"`` oracle and ladders with
+        ``validate_steps=False`` (whose witnesses are never checked, so
+        must not become certificates) keep their exact step-by-step
+        semantics.
     warm_start:
         Optional :class:`WarmStart` from a neighbouring solve (same game
         with a different ``K``/``epsilon``, or a similar game in a sweep).
@@ -301,7 +312,9 @@ def solve_cubis(
         backend, no resilience policy).  ``"incremental"`` additionally
         accepts callable backends and ``memoise=False`` (the skeleton is
         still assembled — sessions require it); it raises for the
-        ``"dp"`` oracle or a resilience policy.  A session solve that
+        ``"dp"`` oracle or a resilience policy.  A ladder solve always
+        runs fresh builds, but keeps the certificate pool and the LP
+        screen (see ``resilience``).  A session solve that
         errors falls back to one fresh-build solve for that step and
         invalidates the live model.  A live
         :class:`~repro.solvers.session.MilpSession` instance may be
@@ -429,14 +442,20 @@ def solve_cubis(
         # memoise=True assembles the MILP structure once (patched per step)
         # and keeps a pool of feasible-strategy certificates that answer
         # oracle steps in O(T) when a cached strategy still certifies the
-        # candidate.  Certificate short-circuits are restricted to the plain
-        # MILP oracle: the dp oracle and the resilience ladder keep their
-        # exact per-step semantics (see docs/PERFORMANCE.md).
-        use_certificates = memoise and resilience is None and oracle == "milp"
+        # candidate.  A certificate or an LP bound is a proof whichever
+        # backend produced it, so all of this also runs inside each MILP
+        # rung of a resilience ladder (a step it settles is that rung's
+        # answer).  The dp oracle keeps its exact per-step semantics, and
+        # so does a ladder with validate_steps=False: an unvalidated
+        # witness must never join the pool or raise the lower bound (see
+        # docs/RESILIENCE.md).
         needs_milp = (
             any(r.oracle == "milp" for r in resilience.rungs)
             if resilience is not None
             else oracle == "milp"
+        )
+        use_certificates = memoise and needs_milp and (
+            resilience is None or resilience.validate_steps
         )
         # Session resolution: "incremental" keeps one live MILP model and
         # patches it in place per step.  It needs the plain MILP oracle

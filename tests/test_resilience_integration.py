@@ -6,6 +6,8 @@ import pytest
 
 from repro.behavior.interval import IntervalSUQR
 from repro.core.cubis import solve_cubis
+from repro.experiments.quality import default_uncertainty
+from repro.game.generator import random_interval_game
 from repro.resilience import (
     FaultInjector,
     LadderExhaustedError,
@@ -19,8 +21,6 @@ from repro.resilience import (
 
 @pytest.fixture(scope="module")
 def instance():
-    from repro.game.generator import random_interval_game
-
     game = random_interval_game(5, num_resources=1.5, seed=21)
     uncertainty = IntervalSUQR(
         game.payoffs, w1=(-4.0, -1.0), w2=(0.6, 0.9), w3=(0.3, 0.6),
@@ -75,18 +75,94 @@ class TestFaultyEqualsFaultFree:
         game, uncertainty = instance
         result = solve_cubis(
             game, uncertainty, num_segments=10, epsilon=1e-3,
-            resilience=ResiliencePolicy(),
+            resilience=ResiliencePolicy(), memoise=False,
         )
         assert not result.degraded
         assert result.resilience.rung_counts[1:] == (0, 0)
-        # Ladder runs answer every step with an exact MILP solve, so the
-        # strategy must match the plain exact path (memoise=False); the
-        # default memoised path may return a different — equally valid —
-        # witness from the LP-relaxation screen.
+        # With memoise=False a ladder run answers every step with an exact
+        # MILP solve, so the strategy must match the plain exact path; the
+        # memoised ladder may return a different — equally valid — witness
+        # from the LP-relaxation screen (see TestLadderKeepsFastPath).
         exact = solve_cubis(
             game, uncertainty, num_segments=10, epsilon=1e-3, memoise=False,
         )
         np.testing.assert_allclose(result.strategy, exact.strategy, atol=1e-8)
+
+
+class TestLadderKeepsFastPath:
+    """The certificate pool, the LP screen and the certified-level jumps
+    run inside each MILP rung's oracle, so a clean ladder changes nothing
+    and a step they settle is that rung's answer."""
+
+    @pytest.mark.parametrize("num_targets", [5, 10, 20])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clean_ladder_is_a_no_op(self, num_targets, seed):
+        game = random_interval_game(num_targets, seed=seed)
+        uncertainty = default_uncertainty(game.payoffs)
+        laddered = solve_cubis(game, uncertainty, resilience=ResiliencePolicy())
+        plain = solve_cubis(game, uncertainty, session="fresh")
+        assert not laddered.degraded
+        assert np.array_equal(laddered.strategy, plain.strategy)
+        assert laddered.lower_bound == plain.lower_bound
+        assert laddered.upper_bound == plain.upper_bound
+        assert laddered.trace == plain.trace
+        assert (laddered.lp_solves, laddered.milp_solves, laddered.cache_hits) == (
+            plain.lp_solves, plain.milp_solves, plain.cache_hits
+        )
+        assert laddered.milp_solves == 0
+        assert sum(laddered.resilience.rung_counts) == laddered.iterations
+
+    def test_failing_screen_escalates_like_a_failing_milp(self, monkeypatch):
+        # The LP screen is a backend call of its rung: when HiGHS raises on
+        # every relaxation, each uncached step escalates to the bnb rung.
+        import repro.core.cubis as cubis_module
+
+        real_solve_milp = cubis_module.solve_milp
+
+        def flaky_lp(problem, backend="highs", **kwargs):
+            if backend == "highs" and not problem.integrality.any():
+                raise RuntimeError("injected LP-screen failure")
+            return real_solve_milp(problem, backend=backend, **kwargs)
+
+        monkeypatch.setattr(cubis_module, "solve_milp", flaky_lp)
+        game = random_interval_game(6, seed=5)
+        uncertainty = default_uncertainty(game.payoffs)
+        result = solve_cubis(
+            game, uncertainty, num_segments=8, epsilon=1e-2,
+            resilience=ResiliencePolicy(max_retries=0),
+        )
+        report = result.resilience
+        assert result.degraded
+        assert sum(report.rung_counts) == result.iterations
+        assert report.rung_counts[1] == result.iterations - result.cache_hits
+        assert report.failed_attempts == report.rung_counts[1]
+        assert result.milp_solves == 0
+        assert certify_result(game, uncertainty, result).valid
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_unvalidated_ladder_keeps_exact_steps(self, seed):
+        # With validate_steps=False a perturbed witness is never checked,
+        # so it must not join the certificate pool or raise the lower
+        # bound: the memoised ladder behaves exactly like memoise=False.
+        game = random_interval_game(8, seed=seed)
+        uncertainty = default_uncertainty(game.payoffs)
+
+        def solve(memoise):
+            injector = FaultInjector(1.0, modes=("perturb",))
+            policy = ResiliencePolicy(
+                rungs=(Rung("milp", injector.wrap("highs")),),
+                validate_steps=False,
+            )
+            return solve_cubis(
+                game, uncertainty, resilience=policy, memoise=memoise
+            )
+
+        memoised, exact = solve(True), solve(False)
+        assert memoised.trace == exact.trace
+        assert memoised.lower_bound == exact.lower_bound
+        assert memoised.upper_bound == exact.upper_bound
+        assert np.array_equal(memoised.strategy, exact.strategy)
+        assert memoised.lp_solves == 0 and memoised.cache_hits == 0
 
 
 class TestCrossBackendLadderEquality:

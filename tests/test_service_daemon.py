@@ -17,7 +17,10 @@ import urllib.request
 import pytest
 
 from repro.analysis.io import game_to_dict, uncertainty_to_dict
+from repro.experiments.quality import default_uncertainty
+from repro.game.generator import random_interval_game
 from repro.obs import ObsServer, ProgressBoard
+from repro.resilience import certify_result
 from repro.service import (
     QueueClosedError,
     ServiceClient,
@@ -25,6 +28,7 @@ from repro.service import (
     ServiceError,
     SolveEngine,
 )
+from repro.service.requests import result_from_payload
 from repro.telemetry.metrics import MetricsRegistry
 from tests import fixtures_games
 from tests.test_service_coalescing import GatedSolver, small_body
@@ -236,6 +240,23 @@ class TestVerifyEndpoint:
             solved["worst_case_value"] = solved["worst_case_value"] + 5.0
             certificate = client.verify(gd, solved, uncertainty=ud)
             assert certificate["valid"] is False
+
+    @pytest.mark.parametrize("num_targets, seed", [(10, 8), (20, 3)])
+    def test_default_solve_runs_no_milp(self, num_targets, seed):
+        # Default options turn the resilience ladder on; the LP screen
+        # and the certificate pool still answer every step inside it.
+        game = random_interval_game(num_targets, seed=seed)
+        engine = SolveEngine(workers=1, queue_depth=4)
+        with ServiceDaemon(engine, port=0) as daemon:
+            client = ServiceClient(daemon.url, timeout=120.0)
+            solved = client.solve(game_to_dict(game))
+        assert solved["milp_solves"] == 0, solved
+        assert solved["lp_solves"] > 0
+        assert solved["degraded"] is False
+        certificate = certify_result(
+            game, default_uncertainty(game.payoffs), result_from_payload(solved)
+        )
+        assert certificate.valid, certificate.summary()
 
     def test_verify_without_result_is_400(self, gated_daemon):
         daemon, _engine, _solver = gated_daemon
