@@ -45,7 +45,6 @@ import numpy as np
 __all__ = [
     "GridAllocation",
     "maximize_separable_on_grid",
-    "maximize_separable_on_grid_batch",
 ]
 
 
@@ -127,82 +126,6 @@ def maximize_separable_on_grid(phi_grid, budget_units: int) -> GridAllocation:
         b -= units[j]
     assert b == 0, "DP backtrack failed to consume the chosen budget"
     return GridAllocation(value=value, units=units)
-
-
-def maximize_separable_on_grid_batch(
-    phi_batch, budget_units: int
-) -> list[GridAllocation]:
-    """Batched :func:`maximize_separable_on_grid` over a fleet of games.
-
-    Parameters
-    ----------
-    phi_batch:
-        Array of shape ``(G, T, K + 1)``: ``G`` independent instances of
-        the same grid shape (one per game in a fleet), each a ``(T, K+1)``
-        value table as in the scalar kernel.
-    budget_units:
-        The shared resource budget in ``1/K`` units — fleets are grouped
-        by shape ``(T, K, R)``, so one budget covers the whole batch.
-
-    Returns
-    -------
-    list[GridAllocation]
-        ``result[g]`` is bit-identical (value and units) to
-        ``maximize_separable_on_grid(phi_batch[g], budget_units)``.
-
-    The transition is the same max-plus sliding-window correlation as the
-    scalar kernel, stacked along a leading batch axis: every per-element
-    float operation (the ``best + phi`` additions, the argmax tie-break
-    to the smallest allocation) is performed on the same operand pairs in
-    the same order, so the batched tables equal the scalar tables bitwise
-    — the batching win is ``G`` small kernel launches collapsing into one
-    large one, not a different algorithm.
-    """
-    phi = np.asarray(phi_batch, dtype=np.float64)
-    if phi.ndim != 3 or phi.shape[2] < 2:
-        raise ValueError(
-            f"phi_batch must have shape (G, T, K+1) with K >= 1, got {phi.shape}"
-        )
-    num_games, num_targets, cols = phi.shape
-    k = cols - 1
-    if budget_units < 0:
-        raise ValueError(f"budget_units must be >= 0, got {budget_units}")
-    if num_games == 0:
-        return []
-    budget = int(min(budget_units, num_targets * k))
-
-    neg_inf = -np.inf
-    best = np.full((num_games, budget + 1), neg_inf)
-    best[:, 0] = 0.0
-    choice = np.zeros((num_games, num_targets, budget + 1), dtype=np.int64)
-
-    num_moves = min(k, budget) + 1
-    padded = np.empty((num_games, budget + num_moves))
-    padded[:, : num_moves - 1] = neg_inf
-    rows = np.arange(num_games)[:, None]
-    cols_idx = np.arange(budget + 1)[None, :]
-    for j in range(num_targets):
-        padded[:, num_moves - 1 :] = best
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, num_moves, axis=1
-        )
-        scores = windows[:, :, ::-1] + phi[:, j, None, :num_moves]
-        new_choice = np.argmax(scores, axis=2)
-        best = scores[rows, cols_idx, new_choice]
-        choice[:, j] = new_choice
-
-    results: list[GridAllocation] = []
-    for g in range(num_games):
-        b_star = int(np.argmax(best[g]))
-        value = float(best[g, b_star])
-        units = np.zeros(num_targets, dtype=np.int64)
-        b = b_star
-        for j in range(num_targets - 1, -1, -1):
-            units[j] = choice[g, j, b]
-            b -= units[j]
-        assert b == 0, "DP backtrack failed to consume the chosen budget"
-        results.append(GridAllocation(value=value, units=units))
-    return results
 
 
 def _maximize_separable_on_grid_loop(phi_grid, budget_units: int) -> GridAllocation:

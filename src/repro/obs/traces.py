@@ -12,7 +12,7 @@ actually asks:
   root duration.
 * :func:`self_time_by_name` — wall/CPU self-time aggregated per span
   name: where did the time actually go, with ``wall >> cpu`` exposing
-  lock/queue waits in ``SessionPool``/``DpBatcher``.
+  time spent waiting rather than computing (service queues, locks).
 * :func:`flamegraph_lines` — collapsed-stack output (``a;b;c value``)
   compatible with flamegraph.pl and speedscope, weighted by self-time
   in integer microseconds.

@@ -198,7 +198,6 @@ def _default_solve(game, uncertainty, options, *, warm_start=None,
         oracle=options["oracle"],
         equality_resources=options["equality_resources"],
         execution_alpha=options["execution_alpha"],
-        speculation=options["speculation"],
         resilience=policy,
         warm_start=warm_start,
     )

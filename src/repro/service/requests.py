@@ -72,7 +72,6 @@ SOLVE_OPTION_SPEC: dict[str, tuple[type, Any, tuple | None]] = {
     "equality_resources": (bool, False, None),
     "execution_alpha": (float, 0.0, None),
     "session": (str, "auto", ("auto", "incremental", "fresh")),
-    "speculation": (int, 1, None),
     "resilience": (bool, True, None),
 }
 
@@ -141,8 +140,6 @@ def _normalise_options(options: Mapping | None) -> dict:
         raise RequestError(f"num_segments must be >= 1, got {out['num_segments']}")
     if out["epsilon"] <= 0:
         raise RequestError(f"epsilon must be > 0, got {out['epsilon']}")
-    if out["speculation"] < 1:
-        raise RequestError(f"speculation must be >= 1, got {out['speculation']}")
     if out["execution_alpha"] < 0:
         raise RequestError(
             f"execution_alpha must be >= 0, got {out['execution_alpha']}"
@@ -232,7 +229,6 @@ RESOLVE_OPTION_KEYS: tuple[str, ...] = (
     "backend",
     "equality_resources",
     "execution_alpha",
-    "speculation",
 )
 
 

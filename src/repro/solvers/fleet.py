@@ -7,7 +7,7 @@ of near-identical instances — solve thousands of games that share one
 *structural* array in that assembly (sparsity pattern, templates,
 bounds, integrality, variable layout) depends only on the shape, never
 on the payoffs, so the assembly can be paid **once per shape** and
-shared across the whole fleet.  This module provides the three pieces:
+shared across the whole fleet.  This module provides the two pieces:
 
 :class:`SkeletonShapeCache`
     A bounded LRU of prototype skeletons keyed by shape.  ``lease()``
@@ -35,21 +35,11 @@ shared across the whole fleet.  This module provides the three pieces:
     is a *mode*: ``continuation=False`` reproduces the independent
     per-game results bit for bit, and the share/fresh axis is always
     bit-identical.
-
-:class:`DpBatcher`
-    For ``oracle="dp"`` fleets: games run in lockstep (one thread per
-    game) and each binary-search step's knapsack lands in
-    :func:`~repro.core.dp.maximize_separable_on_grid_batch` as one
-    stacked sliding-window max-plus correlation over every game that
-    reached its next step — ``G`` small kernel launches collapse into
-    one large one, and the batched kernel is bit-identical per game to
-    the scalar one.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -58,14 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.core.dp import maximize_separable_on_grid_batch
 from repro.obs import progress
 from repro.core.milp import CubisMilpSkeleton
 from repro.solvers.session import MilpSession
 from repro.utils.timing import Timer
 
 __all__ = [
-    "DpBatcher",
     "FleetResult",
     "SkeletonShapeCache",
     "active_shape_cache",
@@ -220,116 +208,6 @@ def process_shape_cache() -> SkeletonShapeCache:
         return _process_cache
 
 
-class DpBatcher:
-    """Lockstep batcher for the DP oracle across a fleet of games.
-
-    Each of ``num_participants`` game threads calls its
-    :meth:`participant` kernel once per binary-search step.  A *round*
-    fires when every still-active participant has a pending submission:
-    the submissions are grouped by ``(phi shape, budget)`` and each
-    group runs as one
-    :func:`~repro.core.dp.maximize_separable_on_grid_batch` call, whose
-    per-item results are bit-identical to the scalar kernel — so the
-    fleet's answers never depend on which games happened to share a
-    round.  Participants that finish early :meth:`retire`, shrinking
-    the quorum instead of deadlocking it.
-    """
-
-    def __init__(self, num_participants: int) -> None:
-        if num_participants < 1:
-            raise ValueError(
-                f"num_participants must be >= 1, got {num_participants}"
-            )
-        self._cond = threading.Condition()
-        self._active: set[int] = set(range(num_participants))
-        self._pending: dict[int, tuple[np.ndarray, int]] = {}
-        self._results: dict[int, object] = {}
-        self._failure: BaseException | None = None
-        self.rounds = 0
-        self.batched_calls = 0
-        #: Per-round stats (items, groups, wall/cpu seconds), appended as
-        #: each round fires.  Rounds run on whichever participant thread
-        #: completed the quorum — where tracing is off — so the caller
-        #: re-emits these as ``fleet.dp_round`` events after the join
-        #: (deterministically: round composition depends only on each
-        #: game's step count, never on thread scheduling).
-        self.round_log: list[dict] = []
-
-    def participant(self, pid: int):
-        """The kernel callable for participant ``pid`` (pass as
-        ``solve_cubis(dp_kernel=...)``)."""
-
-        def kernel(phi_grid, budget_units: int):
-            return self._exchange(pid, phi_grid, budget_units)
-
-        return kernel
-
-    def retire(self, pid: int) -> None:
-        """Mark ``pid`` done (idempotent); may complete a waiting round."""
-        with self._cond:
-            self._active.discard(pid)
-            self._pending.pop(pid, None)
-            self._maybe_run_round()
-            self._cond.notify_all()
-
-    def _exchange(self, pid: int, phi_grid, budget_units: int):
-        with self._cond:
-            if pid not in self._active:
-                raise RuntimeError(f"participant {pid} already retired")
-            self._pending[pid] = (
-                np.asarray(phi_grid, dtype=np.float64),
-                int(budget_units),
-            )
-            self._maybe_run_round()
-            self._cond.notify_all()
-            while pid not in self._results and self._failure is None:
-                self._cond.wait()
-            if pid in self._results:
-                return self._results.pop(pid)
-            raise RuntimeError(
-                "fleet DP batch failed in another participant"
-            ) from self._failure
-
-    def _maybe_run_round(self) -> None:
-        # Called with the lock held.  The batched kernel itself runs
-        # under the lock: every waiter is blocked on this round anyway,
-        # so there is no concurrency to lose, and holding it keeps the
-        # pending/results bookkeeping trivially consistent.
-        if not self._active or len(self._pending) != len(self._active):
-            return
-        try:
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time_ns()
-            items = len(self._pending)
-            groups: dict[tuple, list[int]] = {}
-            for pid in sorted(self._pending):
-                phi, budget = self._pending[pid]
-                groups.setdefault((phi.shape, budget), []).append(pid)
-            for (shape, budget), pids in groups.items():
-                stacked = np.stack([self._pending[p][0] for p in pids])
-                allocations = maximize_separable_on_grid_batch(stacked, budget)
-                self.batched_calls += 1
-                for p, allocation in zip(pids, allocations):
-                    self._results[p] = allocation
-            self._pending.clear()
-            self.rounds += 1
-            self.round_log.append({
-                "round": self.rounds,
-                "items": items,
-                "groups": len(groups),
-                "wall": time.perf_counter() - wall0,
-                "cpu": (time.process_time_ns() - cpu0) / 1e9,
-            })
-            progress.publish("fleet", dp_rounds=self.rounds)
-        except BaseException as exc:  # propagate to every waiter
-            self._failure = exc
-            # Wake the blocked participants *before* re-raising: the
-            # raise unwinds past the caller's own notify_all, and a
-            # failure nobody is woken for is a deadlock.
-            self._cond.notify_all()
-            raise
-
-
 @dataclass(frozen=True)
 class FleetResult:
     """Outcome of :func:`solve_fleet`.
@@ -339,13 +217,11 @@ class FleetResult:
     """
 
     results: tuple
-    oracle: str
     continuation: bool
     share: bool
     solve_seconds: float
     shape_stats: dict
     session_stats: dict | None
-    dp_rounds: int = 0
 
     def __len__(self) -> int:
         return len(self.results)
@@ -368,24 +244,20 @@ def solve_fleet(
     games,
     uncertainties,
     *,
-    oracle: str = "milp",
     backend="highs",
     continuation: bool = True,
     share: bool = True,
     cache: SkeletonShapeCache | None = None,
     **solve_options,
 ) -> FleetResult:
-    """Solve a fleet of games through one shared solver substrate.
+    """Solve a fleet of games through one shared MILP substrate.
 
     Parameters
     ----------
     games, uncertainties:
         Parallel sequences: ``uncertainties[i]`` models ``games[i]``.
-    oracle:
-        ``"milp"`` (leased session + shape cache) or ``"dp"`` (lockstep
-        :class:`DpBatcher` over the batched kernel).
     backend:
-        MILP backend for the leased session (``"milp"`` oracle only).
+        MILP backend for the leased session.
     continuation:
         δ-continuation between neighbouring games: each solve's final
         bracket and strategy seed the next solve's
@@ -394,8 +266,7 @@ def solve_fleet(
         Everything carried is *probed, never trusted* (stale seeds cost
         at most two extra oracle calls), but the probe schedule differs
         from an independent solve, so turn this off when per-game
-        results must match ``solve_cubis`` bit for bit.  Ignored by the
-        ``"dp"`` oracle (lockstep games have no solve order to chain).
+        results must match ``solve_cubis`` bit for bit.
     share:
         Share one skeleton assembly (and the leased session's live
         model) per shape through ``cache``.  Sharing is bit-identical
@@ -407,8 +278,8 @@ def solve_fleet(
     **solve_options:
         Forwarded to every :func:`~repro.core.cubis.solve_cubis` call
         (``num_segments``, ``epsilon``, ``memoise``, …).  ``session``,
-        ``warm_start``, ``oracle`` and ``dp_kernel`` are owned by the
-        fleet driver and must not be passed.
+        ``warm_start`` and ``oracle`` are owned by the fleet driver and
+        must not be passed.
 
     Returns
     -------
@@ -423,13 +294,11 @@ def solve_fleet(
         raise ValueError(
             f"got {len(games)} games but {len(uncertainties)} uncertainty models"
         )
-    if oracle not in ("milp", "dp"):
-        raise ValueError(f"oracle must be 'milp' or 'dp', got {oracle!r}")
-    for owned in ("session", "warm_start", "dp_kernel", "oracle"):
+    for owned in ("session", "warm_start", "oracle"):
         if owned in solve_options:
             raise TypeError(
                 f"solve_fleet() owns the {owned!r} argument; configure the "
-                "fleet through continuation=/share=/oracle= instead"
+                "fleet through continuation=/share= instead"
             )
     if cache is None:
         cache = SkeletonShapeCache()
@@ -438,7 +307,6 @@ def solve_fleet(
     with telemetry.span(
         "fleet.solve",
         games=len(games),
-        oracle=oracle,
         backend=backend if isinstance(backend, str)
         else getattr(backend, "__name__", type(backend).__name__),
         continuation=bool(continuation),
@@ -446,68 +314,58 @@ def solve_fleet(
     ) as span, timer:
         progress.publish(
             "fleet",
-            total=len(games), done=0, oracle=oracle,
+            total=len(games), done=0,
             continuation=bool(continuation), share=bool(share),
             shape_hits=0, shape_misses=0, shape_hit_rate=None,
         )
-        if oracle == "dp":
-            results, dp_rounds = _solve_fleet_dp(
-                solve_cubis, games, uncertainties, solve_options
+        session = (
+            MilpSession(
+                None, backend=backend, carry_incumbent=bool(continuation)
             )
-            session = None
-        else:
-            dp_rounds = 0
-            session = (
-                MilpSession(
-                    None, backend=backend, carry_incumbent=bool(continuation)
+            if "resilience" not in solve_options
+            else None
+        )
+        results = []
+        carry = None
+        for game, uncertainty in zip(games, uncertainties):
+            with use_shape_cache(cache) if share else _null_context():
+                result = solve_cubis(
+                    game,
+                    uncertainty,
+                    oracle="milp",
+                    backend=backend,
+                    session=session if session is not None else "auto",
+                    warm_start=carry,
+                    **solve_options,
                 )
-                if "resilience" not in solve_options
-                else None
+            results.append(result)
+            if continuation:
+                carry = result.as_warm_start()
+            stats = cache.stats()
+            leases = stats["hits"] + stats["misses"]
+            progress.bump(
+                "fleet", 1,
+                shape_hits=stats["hits"],
+                shape_misses=stats["misses"],
+                shape_hit_rate=(
+                    round(stats["hits"] / leases, 4) if leases else None
+                ),
+                continuation_carried=(
+                    max(0, len(results) - 1) if continuation else 0
+                ),
+                oracle_calls=sum(r.oracle_calls for r in results),
             )
-            results = []
-            carry = None
-            for game, uncertainty in zip(games, uncertainties):
-                with use_shape_cache(cache) if share else _null_context():
-                    result = solve_cubis(
-                        game,
-                        uncertainty,
-                        oracle="milp",
-                        backend=backend,
-                        session=session if session is not None else "auto",
-                        warm_start=carry,
-                        **solve_options,
-                    )
-                results.append(result)
-                if continuation:
-                    carry = result.as_warm_start()
-                stats = cache.stats()
-                leases = stats["hits"] + stats["misses"]
-                progress.bump(
-                    "fleet", 1,
-                    shape_hits=stats["hits"],
-                    shape_misses=stats["misses"],
-                    shape_hit_rate=(
-                        round(stats["hits"] / leases, 4) if leases else None
-                    ),
-                    continuation_carried=(
-                        max(0, len(results) - 1) if continuation else 0
-                    ),
-                    oracle_calls=sum(r.oracle_calls for r in results),
-                )
         span.set(
             shape_hits=cache.stats()["hits"],
             shape_misses=cache.stats()["misses"],
-            dp_rounds=dp_rounds,
         )
     return FleetResult(
         results=tuple(results),
-        oracle=oracle,
         continuation=bool(continuation),
         share=bool(share),
         solve_seconds=timer.elapsed,
         shape_stats=cache.stats(),
         session_stats=session.stats() if session is not None else None,
-        dp_rounds=dp_rounds,
     )
 
 
@@ -515,64 +373,3 @@ def solve_fleet(
 def _null_context():
     yield None
 
-
-def _solve_fleet_dp(solve_cubis, games, uncertainties, solve_options):
-    """Lockstep DP fleet: one thread per game, kernels batched per round.
-
-    Each game thread runs under its own fresh ``Telemetry`` (tracing
-    off — the tracer is not thread-safe); the exports are absorbed into
-    the caller's context in game order after the join, so counters and
-    histograms are deterministic and span streams never interleave.
-    Results are bit-identical to sequential per-game solves: the
-    batched kernel matches the scalar one per item, and no state is
-    shared between games.
-    """
-    batcher = DpBatcher(len(games))
-    contexts = [telemetry.Telemetry(enabled=False) for _ in games]
-    results: list = [None] * len(games)
-    errors: list = [None] * len(games)
-
-    def worker(i: int) -> None:
-        try:
-            with telemetry.use(contexts[i]):
-                results[i] = solve_cubis(
-                    games[i],
-                    uncertainties[i],
-                    oracle="dp",
-                    dp_kernel=batcher.participant(i),
-                    **solve_options,
-                )
-        except BaseException as exc:  # noqa: BLE001 — re-raised in order below
-            errors[i] = exc
-        finally:
-            batcher.retire(i)
-            progress.bump("fleet", 1)
-
-    threads = [
-        threading.Thread(
-            target=worker, args=(i,), name=f"repro-fleet-dp-{i}", daemon=True
-        )
-        for i in range(len(games))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    parent = telemetry.current()
-    for context in contexts:
-        parent.absorb(context.export())
-    # Re-emit the batcher's round log as events *here*, on the caller
-    # thread where tracing is live.  Round composition (items, groups)
-    # is a pure function of each game's step count, so these events are
-    # identical across thread schedules and worker counts; wall/cpu are
-    # float attributes, excluded from span signatures by construction.
-    for entry in batcher.round_log:
-        parent.event(
-            "fleet.dp_round",
-            round=entry["round"], items=entry["items"],
-            groups=entry["groups"], wall=entry["wall"], cpu=entry["cpu"],
-        )
-    for error in errors:
-        if error is not None:
-            raise error
-    return results, batcher.rounds

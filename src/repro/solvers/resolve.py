@@ -293,7 +293,6 @@ _RESOLVE_OPTIONS = (
     "execution_alpha",
     "feasibility_tolerance",
     "max_iterations",
-    "speculation",
 )
 
 
@@ -309,7 +308,7 @@ def start_resolve(
     ``options`` are the :func:`~repro.core.cubis.solve_cubis` accuracy
     and backend knobs (``num_segments``, ``epsilon``, ``backend``,
     ``equality_resources``, ``execution_alpha``,
-    ``feasibility_tolerance``, ``max_iterations``, ``speculation``);
+    ``feasibility_tolerance``, ``max_iterations``);
     they are pinned into the handle so every later :func:`resolve`
     re-enters the *same* problem family.  ``coverage_constraints`` are
     not supported — side constraints embed their matrix in the MILP

@@ -2,8 +2,8 @@
 
 Runs one :class:`~repro.game.ssg.IntervalSecurityGame` instance through
 every independent solver path — the HiGHS MILP ladder, the pure-Python
-branch-and-bound MILP, the incremental-session MILP with speculative
-bisection, the structure-sharing fleet solver, the standing-solve drift
+branch-and-bound MILP, the incremental-session MILP, the
+structure-sharing fleet solver, the standing-solve drift
 re-entry (``milp-resolve``), the grid-restricted DP oracle, and the
 SLSQP multi-start comparator — and checks that they tell one consistent
 story:
@@ -48,11 +48,13 @@ from repro.verify.report import ConformanceCheck
 __all__ = ["PathOutcome", "DEFAULT_PATHS", "run_paths", "differential_check"]
 
 #: The solver paths the differential checker knows, in execution order.
-#: ``milp-session`` is the incremental-session + speculative-bisection
-#: pipeline (docs/PERFORMANCE.md) run as its own differential arm: it must
-#: agree with the fresh-build ``milp-highs`` path within the Theorem 1
-#: tolerance, which pins the patch/speculation machinery to the reference
-#: semantics on every battery run.
+#: ``milp-highs`` is the fresh-build reference (``session="fresh"``: every
+#: step assembles its model from the skeleton templates) and
+#: ``milp-session`` the incremental-session pipeline (docs/PERFORMANCE.md:
+#: one live model patched in place per step), run as its own differential
+#: arm: it must agree with ``milp-highs`` within the Theorem 1 tolerance,
+#: which pins patched builds to fresh ones end to end on every battery
+#: run.
 #: ``milp-fleet`` routes the instance through a single-game
 #: :func:`repro.solvers.fleet.solve_fleet` (shared-structure skeleton
 #: lease + retargeted session), which must land inside the same theorem
@@ -222,11 +224,10 @@ def run_paths(
         return strategy, value, diag
 
     runners = {
-        "milp-highs": (lambda: cubis(backend="highs"), slack),
+        "milp-highs": (lambda: cubis(backend="highs", session="fresh"), slack),
         "milp-bnb": (lambda: cubis(backend="bnb"), slack),
         "milp-session": (
-            lambda: cubis(backend="highs", session="incremental", speculation=3),
-            slack,
+            lambda: cubis(backend="highs", session="incremental"), slack,
         ),
         "milp-fleet": (fleet, slack),
         "milp-resolve": (resolve_path, slack),

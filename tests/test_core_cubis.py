@@ -273,9 +273,9 @@ class TestPerformanceLayer:
 
 
 class TestSessionLayer:
-    """The incremental-session oracle and speculative bisection may only
-    change cost, never answers — and a mid-sequence backend failure must
-    degrade to exactly one fresh-build retry per failing step."""
+    """The incremental-session oracle may only change cost, never
+    answers — and a mid-sequence backend failure must degrade to exactly
+    one fresh-build retry per failing step."""
 
     def solve(self, game, unc, **kw):
         kw.setdefault("num_segments", 8)
@@ -316,14 +316,11 @@ class TestSessionLayer:
             self.solve(small_interval_game, small_uncertainty,
                        session="incremental", resilience=ResiliencePolicy())
 
-    def test_invalid_session_and_speculation_rejected(
+    def test_invalid_session_rejected(
         self, small_interval_game, small_uncertainty
     ):
         with pytest.raises(ValueError, match="session"):
             self.solve(small_interval_game, small_uncertainty, session="sticky")
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="speculation"):
-                self.solve(small_interval_game, small_uncertainty, speculation=bad)
 
     def test_bnb_session_matches_highs_session(
         self, small_interval_game, small_uncertainty
@@ -334,31 +331,6 @@ class TestSessionLayer:
                          session="incremental", backend="bnb")
         assert bnb.lower_bound == pytest.approx(highs.lower_bound, abs=1e-6)
         assert bnb.session_mode == "incremental"
-
-    def test_speculative_session_matches_classic(
-        self, small_interval_game, small_uncertainty
-    ):
-        classic = self.solve(small_interval_game, small_uncertainty,
-                             session="incremental", speculation=1)
-        spec = self.solve(small_interval_game, small_uncertainty,
-                          session="incremental", speculation=3)
-        assert spec.lower_bound == pytest.approx(classic.lower_bound,
-                                                 abs=classic.epsilon)
-        assert spec.upper_bound - spec.lower_bound <= spec.epsilon + 1e-12
-        assert spec.speculation == 3
-        assert spec.speculative_probes > 0
-        assert classic.speculative_probes == 0
-
-    def test_speculation_with_dp_oracle_is_sequential_but_equal(
-        self, small_interval_game, small_uncertainty
-    ):
-        plain = self.solve(small_interval_game, small_uncertainty, oracle="dp")
-        spec = self.solve(small_interval_game, small_uncertainty,
-                          oracle="dp", speculation=3)
-        assert spec.lower_bound == pytest.approx(plain.lower_bound,
-                                                 abs=plain.epsilon)
-        assert spec.session_mode == "fresh"
-        assert spec.speculative_probes > 0
 
 
 class TestSessionFailureSemantics:

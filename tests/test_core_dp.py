@@ -12,7 +12,6 @@ from repro.core.cubis import solve_cubis
 from repro.core.dp import (
     _maximize_separable_on_grid_loop,
     maximize_separable_on_grid,
-    maximize_separable_on_grid_batch,
 )
 from repro.game.generator import random_interval_game, table1_game
 
@@ -182,53 +181,3 @@ class TestVectorisedTransitionMatchesLoop:
         np.testing.assert_array_equal(fast.units, slow.units)
         np.testing.assert_array_equal(fast.units, np.zeros(3, dtype=np.int64))
 
-
-class TestBatchKernelMatchesScalar:
-    """The stacked fleet kernel must equal per-game scalar calls bitwise
-    — same values, same units, same tie-breaks at every batch index."""
-
-    @pytest.mark.parametrize("seed", range(15))
-    def test_random_batches_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        g = int(rng.integers(1, 6))
-        t = int(rng.integers(1, 8))
-        k = int(rng.integers(1, 11))
-        budget = int(rng.integers(0, t * k + 3))
-        phi = rng.normal(size=(g, t, k + 1)).cumsum(axis=2)
-        batched = maximize_separable_on_grid_batch(phi, budget)
-        assert len(batched) == g
-        for game_index in range(g):
-            scalar = maximize_separable_on_grid(phi[game_index], budget)
-            assert batched[game_index].value == scalar.value
-            np.testing.assert_array_equal(
-                batched[game_index].units, scalar.units
-            )
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_tie_heavy_batches_bit_identical(self, seed):
-        rng = np.random.default_rng(2000 + seed)
-        g = int(rng.integers(2, 5))
-        t = int(rng.integers(2, 6))
-        k = int(rng.integers(2, 8))
-        budget = int(rng.integers(1, t * k + 1))
-        phi = np.round(rng.normal(size=(g, t, k + 1)), 1)
-        batched = maximize_separable_on_grid_batch(phi, budget)
-        for game_index in range(g):
-            scalar = maximize_separable_on_grid(phi[game_index], budget)
-            assert batched[game_index].value == scalar.value
-            np.testing.assert_array_equal(
-                batched[game_index].units, scalar.units
-            )
-
-    def test_empty_batch(self):
-        assert maximize_separable_on_grid_batch(
-            np.zeros((0, 3, 4)), 5
-        ) == []
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError, match="phi_batch"):
-            maximize_separable_on_grid_batch(np.zeros((2, 3)), 1)
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="budget_units"):
-            maximize_separable_on_grid_batch(np.zeros((1, 1, 2)), -1)

@@ -55,7 +55,7 @@ class TestProgressBoard:
     def test_sections_are_independent(self):
         board = ProgressBoard()
         board.update("sweep", total=3)
-        board.update("fleet", oracle="dp")
+        board.update("fleet", share=True)
         sections = board.snapshot()["sections"]
         assert set(sections) == {"sweep", "fleet"}
         assert "total" not in sections["fleet"]

@@ -85,8 +85,7 @@ class TestInvariance:
             request_hash(canonicalize_request(shuffled))
 
     def test_numeric_spelling_invariant(self):
-        body = _body(options={"num_segments": 8, "epsilon": 0.5,
-                              "speculation": 2})
+        body = _body(options={"num_segments": 8, "epsilon": 0.5})
         respelled = _respell_numbers(json.loads(json.dumps(body)))
         # The JSON *texts* genuinely differ (dict equality would say
         # equal: Python's 2 == 2.0) — that is exactly the ambiguity the
@@ -181,7 +180,7 @@ class TestDistinctness:
         ("num_segments", 12), ("epsilon", 0.1), ("backend", "bnb"),
         ("oracle", "dp"), ("equality_resources", True),
         ("execution_alpha", 0.05), ("session", "fresh"),
-        ("speculation", 2), ("resilience", False),
+        ("resilience", False),
     ])
     def test_every_option_is_hash_significant(self, option, other):
         default = {name: spec[1] for name, spec in SOLVE_OPTION_SPEC.items()}
@@ -213,8 +212,10 @@ class TestValidation:
             canonicalize_request(body)
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(RequestError, match="unknown solve options"):
-            canonicalize_request(_body(options={"turbo": True}))
+        # A retired solve option is refused too, not silently ignored.
+        for options in ({"turbo": True}, {"speculation": 3}):
+            with pytest.raises(RequestError, match="unknown solve options"):
+                canonicalize_request(_body(options=options))
 
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(RequestError, match="unknown request fields"):

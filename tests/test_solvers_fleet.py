@@ -1,4 +1,4 @@
-"""Tests for repro.solvers.fleet — shape cache, DP batcher, solve_fleet."""
+"""Tests for repro.solvers.fleet — shape cache, solve_fleet."""
 
 import threading
 
@@ -12,7 +12,6 @@ from repro.core.cubis import solve_cubis
 from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game
 from repro.solvers.fleet import (
-    DpBatcher,
     SkeletonShapeCache,
     active_shape_cache,
     process_shape_cache,
@@ -156,103 +155,6 @@ class TestUseShapeCache:
             )
 
 
-class TestDpBatcher:
-    def test_single_participant_passthrough(self):
-        from repro.core.dp import maximize_separable_on_grid
-
-        batcher = DpBatcher(1)
-        phi = np.array([[0.0, 1.0, 3.0]])
-        alloc = batcher.participant(0)(phi, 2)
-        ref = maximize_separable_on_grid(phi, 2)
-        assert alloc.value == ref.value
-        np.testing.assert_array_equal(alloc.units, ref.units)
-        assert batcher.rounds == 1
-
-    def test_round_fires_only_when_quorum_is_full(self):
-        batcher = DpBatcher(2)
-        phi = np.array([[0.0, 2.0]])
-        out = {}
-
-        def submit(pid):
-            out[pid] = batcher.participant(pid)(phi * (pid + 1), 1)
-
-        t0 = threading.Thread(target=submit, args=(0,), daemon=True)
-        t0.start()
-        t0.join(timeout=0.2)
-        assert t0.is_alive()  # waiting for participant 1
-        submit(1)
-        t0.join(timeout=5)
-        assert not t0.is_alive()
-        assert batcher.rounds == 1
-        assert out[0].value == 2.0 and out[1].value == 4.0
-
-    def test_retire_shrinks_the_quorum(self):
-        batcher = DpBatcher(2)
-        batcher.retire(1)
-        alloc = batcher.participant(0)(np.array([[0.0, 5.0]]), 1)
-        assert alloc.value == 5.0
-
-    def test_mixed_shapes_batch_in_one_round(self):
-        batcher = DpBatcher(2)
-        out = {}
-
-        def submit(pid, phi):
-            out[pid] = batcher.participant(pid)(phi, 1)
-
-        threads = [
-            threading.Thread(
-                target=submit, args=(0, np.array([[0.0, 1.0]])), daemon=True
-            ),
-            threading.Thread(
-                target=submit, args=(1, np.array([[0.0, 2.0], [0.0, 3.0]])),
-                daemon=True,
-            ),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert batcher.rounds == 1
-        assert batcher.batched_calls == 2  # one per shape group
-        assert out[0].value == 1.0 and out[1].value == 3.0
-
-    def test_failure_propagates_to_waiters(self):
-        batcher = DpBatcher(2)
-        errors = {}
-
-        def submit(pid, budget):
-            try:
-                batcher.participant(pid)(np.array([[0.0, 1.0]]), budget)
-            except Exception as exc:
-                errors[pid] = exc
-
-        # Participant 1 waits with a valid submission; participant 0's
-        # poisoned budget completes the round and its group (sorted
-        # first) raises before participant 1's group runs — so 1 must
-        # be woken and told, not left waiting forever.
-        t1 = threading.Thread(target=submit, args=(1, 1), daemon=True)
-        t1.start()
-        while True:  # wait until participant 1 is parked in the round
-            with batcher._cond:
-                if 1 in batcher._pending:
-                    break
-        submit(0, -1)
-        t1.join(timeout=5)
-        assert not t1.is_alive()
-        assert isinstance(errors[0], ValueError)
-        assert isinstance(errors[1], RuntimeError)
-
-    def test_retired_participant_rejected(self):
-        batcher = DpBatcher(1)
-        batcher.retire(0)
-        with pytest.raises(RuntimeError, match="retired"):
-            batcher.participant(0)(np.array([[0.0, 1.0]]), 1)
-
-    def test_participant_count_validation(self):
-        with pytest.raises(ValueError, match="num_participants"):
-            DpBatcher(0)
-
-
 class TestSolveFleetMilp:
     def test_without_continuation_matches_independent_solves(self):
         games, models = make_fleet(4)
@@ -297,13 +199,13 @@ class TestSolveFleetMilp:
             solve_fleet(games, models[:1], **SOLVE)
 
     def test_unknown_oracle_rejected(self):
+        # The fleet is MILP-only: any oracle= is refused as an owned
+        # argument.
         games, models = make_fleet(1)
-        with pytest.raises(ValueError, match="oracle"):
+        with pytest.raises(TypeError, match="oracle"):
             solve_fleet(games, models, oracle="cplex", **SOLVE)
 
-    @pytest.mark.parametrize(
-        "owned", ["session", "warm_start", "dp_kernel"]
-    )
+    @pytest.mark.parametrize("owned", ["session", "warm_start"])
     def test_owned_kwargs_rejected(self, owned):
         games, models = make_fleet(1)
         with pytest.raises(TypeError, match=owned):
@@ -316,7 +218,6 @@ class TestSolveFleetMilp:
             solve_fleet(games, models, **SOLVE)
         span = next(s for s in tele.spans if s.name == "fleet.solve")
         assert span.attributes["games"] == 3
-        assert span.attributes["oracle"] == "milp"
         assert span.attributes["share"] is True
         assert span.attributes["shape_hits"] == 2
         assert span.attributes["shape_misses"] == 1
@@ -347,32 +248,6 @@ class TestSolveFleetMilp:
             assert got.converged
             assert got.worst_case_value == pytest.approx(
                 want.worst_case_value, abs=2 * SOLVE["epsilon"] + 1.0
-            )
-
-
-class TestSolveFleetDp:
-    def test_matches_independent_dp_solves(self):
-        games, models = make_fleet(3)
-        fleet = solve_fleet(games, models, oracle="dp", **SOLVE)
-        assert fleet.dp_rounds > 0
-        assert fleet.session_stats is None
-        for game, model, got in zip(games, models, fleet):
-            want = solve_cubis(game, model, oracle="dp", **SOLVE)
-            assert_results_identical(got, want)
-
-    def test_dp_metrics_absorbed_in_game_order(self):
-        games, models = make_fleet(2)
-        tele = telemetry.Telemetry()
-        with telemetry.use(tele):
-            fleet = solve_fleet(games, models, oracle="dp", **SOLVE)
-        hist = tele.metrics.histogram("repro_oracle_seconds", kind="dp")
-        assert hist.count == sum(r.oracle_calls for r in fleet.results)
-
-    def test_dp_failure_propagates(self):
-        games, models = make_fleet(2)
-        with pytest.raises(ValueError):
-            solve_fleet(
-                games, models, oracle="dp", num_segments=5, epsilon=-1.0
             )
 
 

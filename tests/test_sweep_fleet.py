@@ -77,9 +77,9 @@ class TestFleetRunGridBitIdentity:
         assert _rows_json(fleet) == _rows_json(plain)
 
 
-def _fleet_dp_trial(rng, trial_index, *, num_targets, **params):
-    """A trial that solves a small DP-oracle fleet, so each cell's trace
-    carries ``fleet.solve`` spans and ``fleet.dp_round`` events."""
+def _fleet_trial(rng, trial_index, *, num_targets, **params):
+    """A trial that solves a small fleet, so each cell's trace carries a
+    ``fleet.solve`` span with the per-game solve spans under it."""
     from repro.experiments.quality import default_uncertainty
     from repro.game.generator import random_interval_game
     from repro.solvers.fleet import solve_fleet
@@ -87,16 +87,14 @@ def _fleet_dp_trial(rng, trial_index, *, num_targets, **params):
     games = [random_interval_game(num_targets, seed=100 * trial_index + i)
              for i in range(3)]
     uncertainties = [default_uncertainty(g.payoffs) for g in games]
-    fleet = solve_fleet(games, uncertainties, num_segments=4, epsilon=0.1,
-                        oracle="dp")
+    fleet = solve_fleet(games, uncertainties, num_segments=4, epsilon=0.1)
     return [{"value": fleet.results[0].lower_bound,
              "oracle_calls": sum(r.oracle_calls for r in fleet.results)}]
 
 
 class TestFleetTraceAdoption:
     """Worker-process traces adopt into the same tree the serial run
-    records — including the lockstep batcher's round events, which are
-    re-emitted on the caller thread after the join."""
+    records, fleet spans included."""
 
     GRID = [{"num_targets": 3}, {"num_targets": 4}]
 
@@ -106,7 +104,7 @@ class TestFleetTraceAdoption:
 
         ctx = Telemetry()
         with telemetry.use(ctx):
-            table = run_grid(_fleet_dp_trial, self.GRID, num_trials=2,
+            table = run_grid(_fleet_trial, self.GRID, num_trials=2,
                              seed=3, fleet=True, **kwargs)
         # The root span honestly records its ``workers`` count — the one
         # attribute that *should* differ.  Everything else must match.
@@ -134,10 +132,11 @@ class TestFleetTraceAdoption:
         assert sig == ref_sig, "adopted span tree must match serial run"
         assert metrics == ref_metrics
 
-    def test_dp_round_events_present(self):
+    def test_fleet_solve_spans_present(self):
         _, sig, _ = self._traced(workers=1)
-        round_names = [entry for entry in sig if entry[1] == "fleet.dp_round"]
-        assert round_names, "lockstep rounds must appear in the span tree"
+        fleet_spans = [entry for entry in sig if entry[1] == "fleet.solve"]
+        # One fleet per trial: 2 grid points x 2 trials.
+        assert len(fleet_spans) == 4
 
 
 def _quarantine_run(store, *, shard=None, resume=False, quarantine_after=1):
