@@ -132,18 +132,15 @@ class CubisResult:
     cache_hits:
         Oracle steps answered by a cached strategy certificate with no
         solver call at all (always 0 with ``memoise=False``).
-    session_mode:
-        ``"incremental"`` when the MILP steps ran through a persistent
-        :class:`~repro.solvers.session.MilpSession` (in-place coefficient
-        patches on one live model), ``"fresh"`` when every step rebuilt
-        its model.
     session_patches:
-        In-place sparse coefficient patches applied across all sessions
-        (excludes the initial full builds).
+        In-place sparse coefficient patches the
+        :class:`~repro.solvers.session.MilpSession` applied during this
+        solve (excludes full builds; always 0 with ``memoise=False``).
     session_fallbacks:
         Steps whose session solve failed and was answered by a one-shot
-        fresh-build fallback (each also emits a ``resilience.attempt``
-        telemetry event).
+        fresh-build retry (each also emits a ``resilience.attempt``
+        telemetry event; always 0 under a resilience policy, whose
+        ladder owns retries).
     guess_probes:
         Warm-start guesses (certificate level + carried bracket ends)
         actually probed by the binary search — what a
@@ -172,7 +169,6 @@ class CubisResult:
     milp_solves: int = 0
     lp_solves: int = 0
     cache_hits: int = 0
-    session_mode: str = "fresh"
     session_patches: int = 0
     session_fallbacks: int = 0
     guess_probes: int = 0
@@ -206,7 +202,7 @@ def solve_cubis(
     resilience: ResiliencePolicy | None = None,
     memoise: bool = True,
     warm_start: WarmStart | None = None,
-    session: str | MilpSession = "auto",
+    session: MilpSession | None = None,
 ) -> CubisResult:
     """Run CUBIS on an interval security game.
 
@@ -265,19 +261,27 @@ def solve_cubis(
         consults the certificate pool and, for a named backend, the
         LP-relaxation screen before its MILP, and a verdict from either
         counts as that rung's answer (an LP-screen call that raises is a
-        rung failure and escalates like a MILP failure).  A clean
-        default ladder therefore returns exactly what
-        ``session="fresh"`` returns.
+        rung failure and escalates like a MILP failure).  Every MILP
+        rung prepares its model through the same ``MilpSession`` as the
+        plain oracle (the rung's backend is passed per solve); any
+        exception in a rung's MILP step invalidates the session and
+        escalates, so the ladder alone owns retries.  A clean default
+        ladder therefore returns exactly what the default solve returns.
     memoise:
         Enable the per-solve performance layer (default on): the MILP
-        skeleton is assembled once and re-coefficiented per step, and
-        feasible strategies are cached as certificates that answer later
-        oracle steps without a MILP solve (see docs/PERFORMANCE.md).
-        Feasibility *verdicts* are unchanged — a certificate only fires
-        when the MILP would also have reported feasible — but the
-        certifying strategy may replace the MILP maximiser as the step's
-        witness.  ``memoise=False`` restores the cold, rebuild-every-step
-        path (the benchmark baseline).  Certificate short-circuits, the
+        skeleton is assembled once, every MILP step prepares its model
+        through one :class:`~repro.solvers.session.MilpSession` (an
+        in-place sparse patch of a live model, bit-identical to a fresh
+        build), and feasible strategies are cached as certificates that
+        answer later oracle steps without a MILP solve (see
+        docs/PERFORMANCE.md).  Feasibility *verdicts* are unchanged — a
+        certificate only fires when the MILP would also have reported
+        feasible — but the certifying strategy may replace the MILP
+        maximiser as the step's witness.  ``memoise=False`` is the
+        paper-literal cold reference: every step calls
+        :func:`~repro.core.milp.build_cubis_milp`, with no skeleton,
+        session, certificate pool or LP screen (the benchmark
+        baseline).  Certificate short-circuits, the
         LP screen and certified-level jumps apply to the ``"milp"``
         oracle and to the MILP rungs of a resilience policy with
         ``validate_steps=True``; the ``"dp"`` oracle and ladders with
@@ -291,28 +295,16 @@ def solve_cubis(
         strategies join the certificate pool, so a stale warm start
         degrades gracefully to at most two extra oracle calls.
     session:
-        Incremental MILP session mode: ``"incremental"`` keeps one live
-        model per session and applies each step's ``c``-update as an
-        in-place sparse coefficient patch (bit-identical to a fresh
-        build — see :class:`~repro.solvers.session.MilpSession`), with
-        the previous optimum carried as a MIP start; ``"fresh"`` rebuilds
-        per step; ``"auto"`` (default) picks ``"incremental"`` whenever
-        it applies (``memoise=True``, ``"milp"`` oracle with a named
-        backend, no resilience policy).  ``"incremental"`` additionally
-        accepts callable backends and ``memoise=False`` (the skeleton is
-        still assembled — sessions require it); it raises for the
-        ``"dp"`` oracle or a resilience policy.  A ladder solve always
-        runs fresh builds, but keeps the certificate pool and the LP
-        screen (see ``resilience``).  A session solve that
-        errors falls back to one fresh-build solve for that step and
-        invalidates the live model.  A live
-        :class:`~repro.solvers.session.MilpSession` instance may be
-        passed instead of a mode string: the solve *leases* it —
-        retargets it at this game's skeleton and drives every step
-        through it — which is how the fleet solver
-        (:mod:`repro.solvers.fleet`) carries one live model and its
-        incumbent across a whole fleet of games.  A leased session
-        implies incremental mode (same requirements).
+        A live :class:`~repro.solvers.session.MilpSession` to *lease*
+        (``None``, the default, uses a private one).  The solve
+        retargets it at this game's skeleton and drives every MILP step
+        through it, which is how :func:`~repro.solvers.resolve.resolve`
+        carries one live model across interval drift, the fleet solver
+        (:mod:`repro.solvers.fleet`) across a whole fleet of games and
+        the service's workers across requests.  Without a resilience
+        policy, a session solve that errors invalidates the live model
+        and retries that step once from a fresh build.  Unused when no
+        MILP runs (``memoise=False`` or the ``"dp"`` oracle).
     """
     if uncertainty.num_targets != game.num_targets:
         raise ValueError(
@@ -326,15 +318,8 @@ def solve_cubis(
         raise ValueError(f"execution_alpha must be >= 0, got {execution_alpha}")
     num_segments = check_int_at_least(num_segments, 1, "num_segments")
     max_iterations = check_int_at_least(max_iterations, 1, "max_iterations")
-    leased_session: MilpSession | None = None
-    if isinstance(session, MilpSession):
-        leased_session = session
-        session = "incremental"
-    elif session not in ("auto", "incremental", "fresh"):
-        raise ValueError(
-            "session must be 'auto', 'incremental', 'fresh' or a "
-            f"MilpSession instance, got {session!r}"
-        )
+    if session is not None and not isinstance(session, MilpSession):
+        raise TypeError(f"session must be a MilpSession or None, got {session!r}")
     solve_span = telemetry.span(
         "cubis.solve",
         targets=game.num_targets,
@@ -345,7 +330,6 @@ def solve_cubis(
         else getattr(backend, "__name__", type(backend).__name__),
         memoise=bool(memoise),
         resilient=resilience is not None,
-        session=session,
     )
     with solve_span:
         grid = SegmentGrid(num_segments)
@@ -409,15 +393,17 @@ def solve_cubis(
                 raise OracleStepError(f"{label} violated the side constraints")
 
         # --- performance layer -------------------------------------------- #
-        # memoise=True assembles the MILP structure once (patched per step)
-        # and keeps a pool of feasible-strategy certificates that answer
-        # oracle steps in O(T) when a cached strategy still certifies the
-        # candidate.  A certificate or an LP bound is a proof whichever
-        # backend produced it, so all of this also runs inside each MILP
-        # rung of a resilience ladder (a step it settles is that rung's
-        # answer).  The dp oracle keeps its exact per-step semantics, and
-        # so does a ladder with validate_steps=False: an unvalidated
-        # witness must never join the pool or raise the lower bound (see
+        # memoise=True assembles the MILP structure once and prepares every
+        # MILP step — plain oracle and ladder rungs alike — by patching one
+        # live model in place through a MilpSession.  It also keeps a pool
+        # of feasible-strategy certificates that answer oracle steps in
+        # O(T) when a cached strategy still certifies the candidate.  A
+        # certificate or an LP bound is a proof whichever backend produced
+        # it, so all of this also runs inside each MILP rung of a
+        # resilience ladder (a step it settles is that rung's answer).  The
+        # dp oracle keeps its exact per-step semantics, and so does a
+        # ladder with validate_steps=False: an unvalidated witness must
+        # never join the pool or raise the lower bound (see
         # docs/RESILIENCE.md).
         needs_milp = (
             any(r.oracle == "milp" for r in resilience.rungs)
@@ -427,25 +413,10 @@ def solve_cubis(
         use_certificates = memoise and needs_milp and (
             resilience is None or resilience.validate_steps
         )
-        # Session resolution: "incremental" keeps one live MILP model and
-        # patches it in place per step.  It needs the plain MILP oracle
-        # (the dp oracle has no model; the resilience ladder owns its own
-        # failure semantics); "auto" additionally requires memoise and a
-        # named backend, so the default path for callable backends (fault
-        # injectors, custom solvers) and the memoise=False cold baseline
-        # stay exactly as they were.
-        can_session = oracle == "milp" and resilience is None
-        if session == "incremental" and not can_session:
-            raise ValueError(
-                "session='incremental' requires oracle='milp' and no "
-                "resilience policy"
-            )
-        use_session = session == "incremental" or (
-            session == "auto" and can_session and memoise
-            and isinstance(backend, str)
-        )
         skeleton = None
-        if (memoise or use_session) and needs_milp:
+        milp_session: MilpSession | None = None
+        patches_at_entry = 0
+        if memoise and needs_milp:
             # An active shape cache (run_grid(fleet=True), solve_fleet)
             # leases a structure-sharing skeleton instead of assembling
             # one; rebinding is bit-identical to a fresh build, so this
@@ -471,19 +442,16 @@ def solve_cubis(
                     equality_resources=equality_resources,
                     coverage_constraints=coverage_constraints,
                 )
-        milp_session: MilpSession | None = None
-        patches_at_entry = 0
-        if use_session:
-            if leased_session is not None:
+            if session is not None:
                 # A leased session is retargeted at this game's skeleton:
                 # its live model and — with carry_incumbent — its MIP start
                 # carry over from whatever it solved last.
-                leased_session.retarget(skeleton)
-                milp_session = leased_session
-                patches_at_entry = milp_session.patches_applied
+                session.retarget(skeleton)
+                milp_session = session
+                patches_at_entry = session.patches_applied
             else:
                 milp_session = MilpSession(skeleton, backend=backend)
-        session_log = SolveEventLog() if use_session else None
+        session_log = SolveEventLog()
         pool: list = []  # StrategyCertificate entries, oldest first
         # Run-level telemetry counters (docs/OBSERVABILITY.md).  They
         # accumulate across every solve sharing the active context (a sweep,
@@ -523,28 +491,44 @@ def solve_cubis(
             if len(pool) > _CERTIFICATE_POOL_LIMIT:
                 del pool[0]
 
-        def make_milp_oracle(milp_backend, *, validate: bool = True,
-                             step_session: MilpSession | None = None):
+        def make_milp_oracle(milp_backend, *, validate: bool = True):
             label = milp_backend if isinstance(milp_backend, str) else getattr(
                 milp_backend, "__name__", type(milp_backend).__name__
             )
             lp_screen = use_certificates and isinstance(milp_backend, str)
 
-            def build_fresh(c: float):
-                return (
-                    skeleton.patch(c)
-                    if skeleton is not None
-                    else build_cubis_milp(
-                        ud_grid,
-                        lower_grid,
-                        upper_grid,
-                        game.num_resources,
-                        c,
-                        grid,
-                        equality_resources=equality_resources,
-                        coverage_constraints=coverage_constraints,
-                    )
+            def prepare(c: float):
+                if milp_session is not None:
+                    return milp_session.prepare(c)
+                # memoise=False: the paper-literal cold build, every step.
+                return build_cubis_milp(
+                    ud_grid,
+                    lower_grid,
+                    upper_grid,
+                    game.num_resources,
+                    c,
+                    grid,
+                    equality_resources=equality_resources,
+                    coverage_constraints=coverage_constraints,
                 )
+
+            def solve(model, c: float):
+                milp_counter.inc()
+                result = (
+                    milp_session.solve(backend=milp_backend)
+                    if milp_session is not None
+                    else solve_milp(model.problem, backend=milp_backend)
+                )
+                if not result.optimal:
+                    # The MILP is always feasible in (x, v, q, h) — x =
+                    # anything feasible, q = 1, v at its forced value — so a
+                    # non-optimal status signals a solver failure, not (P1)
+                    # infeasibility.
+                    raise OracleStepError(
+                        f"CUBIS MILP solve failed at c={c:.6g} with backend "
+                        f"{label!r}: {result.status} {result.message}"
+                    )
+                return result
 
             def note_session_fallback(c, exc, wall_seconds: float) -> None:
                 # Mirror the resilience ladder's per-attempt event so a
@@ -565,19 +549,8 @@ def solve_cubis(
                     message=f"session solve failed, retrying fresh build: {exc}",
                 ))
 
-            def milp_oracle(c: float):
-                hit = certificate_answer(c)
-                if hit is not None:
-                    hit_counter.inc()
-                    return hit
-                if use_certificates:
-                    # The pool was consulted (possibly empty) and could not
-                    # answer; everything below pays for a solver call.
-                    miss_counter.inc()
-                model = (
-                    step_session.prepare(c) if step_session is not None
-                    else build_fresh(c)
-                )
+            def milp_step(c: float):
+                model = prepare(c)
                 if lp_screen:
                     # LP-relaxation screen.  The relaxation's optimum bounds
                     # the integer optimum from above, so a value below the
@@ -609,41 +582,21 @@ def solve_cubis(
                             if screened:
                                 add_to_pool(cert)
                                 return True, candidate
-                milp_counter.inc()
                 t0 = time.perf_counter()
                 try:
-                    result = (
-                        step_session.solve() if step_session is not None
-                        else solve_milp(model.problem, backend=milp_backend)
-                    )
-                    if not result.optimal:
-                        # The MILP is always feasible in (x, v, q, h) — x =
-                        # anything feasible, q = 1, v at its forced value — so
-                        # a non-optimal status signals a solver failure, not
-                        # (P1) infeasibility.
-                        raise OracleStepError(
-                            f"CUBIS MILP solve failed at c={c:.6g} with backend "
-                            f"{label!r}: {result.status} {result.message}"
-                        )
+                    result = solve(model, c)
                 except Exception as exc:
-                    if step_session is None:
+                    if milp_session is None or resilience is not None:
                         raise
-                    # Session failure semantics: invalidate the live model
-                    # (in-place state may be implicated) and answer this
-                    # step with exactly one fresh-build solve; a second
-                    # failure propagates like the non-session path.
+                    # Without a ladder, a failed session solve invalidates
+                    # the live model (in-place state may be implicated) and
+                    # answers this step with exactly one fresh-build solve;
+                    # a second failure propagates.
                     fallback_counter.inc()
-                    step_session.invalidate()
+                    milp_session.invalidate()
                     note_session_fallback(c, exc, time.perf_counter() - t0)
-                    model = build_fresh(c)
-                    milp_counter.inc()
-                    result = solve_milp(model.problem, backend=milp_backend)
-                    if not result.optimal:
-                        raise OracleStepError(
-                            f"CUBIS MILP fresh-build fallback failed at "
-                            f"c={c:.6g} with backend {label!r}: "
-                            f"{result.status} {result.message}"
-                        ) from exc
+                    model = milp_session.prepare(c)
+                    result = solve(model, c)
                 g_bar = model.g_bar_from_objective(result.objective)
                 strategy = model.strategy_from_solution(result.x)
                 if validate:
@@ -657,6 +610,27 @@ def solve_cubis(
                 if use_certificates and feasible:
                     add_to_pool(skeleton.certificate(strategy))
                 return feasible, strategy
+
+            def milp_oracle(c: float):
+                hit = certificate_answer(c)
+                if hit is not None:
+                    hit_counter.inc()
+                    return hit
+                if use_certificates:
+                    # The pool was consulted (possibly empty) and could not
+                    # answer; everything below pays for a solver call.
+                    miss_counter.inc()
+                try:
+                    return milp_step(c)
+                except Exception:
+                    # Whatever failed — solver, status, LP screen or step
+                    # validation — the live model may be implicated: drop it
+                    # so the next prepare (a ladder retry, the next rung or
+                    # the next step) is a fresh build.  Under a ladder this
+                    # is the only failure handling; the ladder owns retries.
+                    if milp_session is not None:
+                        milp_session.invalidate()
+                    raise
 
             return milp_oracle
 
@@ -726,7 +700,7 @@ def solve_cubis(
             base_oracle = ladder
         else:
             base_oracle = (
-                make_milp_oracle(backend, step_session=milp_session)
+                make_milp_oracle(backend)
                 if oracle == "milp"
                 else dp_oracle
             )
@@ -801,21 +775,16 @@ def solve_cubis(
         session_fallbacks = int(fallback_counter.value - counts_at_entry[3])
         # A leased session carries lifetime counters from earlier games;
         # report only this solve's delta.
-        session_patches = (
-            milp_session.patches_applied - patches_at_entry
-            if milp_session is not None
-            else 0
-        )
-        if use_session:
+        session_patches = 0
+        if milp_session is not None:
+            session_patches = milp_session.patches_applied - patches_at_entry
             meter.counter("repro_session_patches").inc(session_patches)
-        session_mode = "incremental" if use_session else "fresh"
         solve_span.set(
             iterations=search.iterations,
             converged=search.converged,
             milp_solves=milp_solves,
             lp_solves=lp_solves,
             cache_hits=cache_hits,
-            session_mode=session_mode,
             session_patches=session_patches,
             worst_case_value=float(worst.value),
         )
@@ -836,7 +805,6 @@ def solve_cubis(
             milp_solves=milp_solves,
             lp_solves=lp_solves,
             cache_hits=cache_hits,
-            session_mode=session_mode,
             session_patches=session_patches,
             session_fallbacks=session_fallbacks,
             guess_probes=search.guess_probes,

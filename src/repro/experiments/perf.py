@@ -2,17 +2,16 @@
 
 Five measurements, one JSON payload:
 
-* **cold** — every game solved with ``memoise=False`` and
-  ``session="fresh"`` (rebuild each MILP, no certificates, no LP screen,
-  no incremental patching): the baseline the paper-era pipeline ran.
+* **cold** — every game solved with ``memoise=False`` (the
+  paper-literal cold reference: build each MILP, no skeleton, session,
+  certificates or LP screen): the baseline the paper-era pipeline ran.
 * **warm** — the same games with ``memoise=True`` and each solve
   warm-started from its predecessor (``CubisResult.as_warm_start``): the
   production path.  The headline number is ``speedup = cold / warm``
   wall-clock on the solves themselves.
-* **session** — the same games with ``memoise=True`` and
-  ``session="incremental"``, *without* cross-game warm-start chaining,
-  isolating the incremental-session contribution
-  (``speedup_session = cold / session``).
+* **session** — the same games through the default ``solve_cubis``
+  (memoised, one incremental MILP session per solve), *without*
+  cross-game warm-start chaining (``speedup_session = cold / session``).
 * **fleet** — the same games solved through
   :func:`repro.solvers.fleet.solve_fleet`: one MILP skeleton structure
   assembled per shape and leased to every game, one incremental session
@@ -34,9 +33,8 @@ Five measurements, one JSON payload:
   bit-identical at the same root seed (the determinism guarantee of
   docs/PERFORMANCE.md, checked on every benchmark run).
 
-Each per-game row records the ``backend`` and the ``session_mode`` the
-solve actually ran with, so a saved payload documents its own
-configuration.  :func:`compare_bench` diffs a fresh payload against a
+Each per-game row records the ``backend`` and the ``session_patches``
+the solve applied, so a saved payload documents its own configuration.  :func:`compare_bench` diffs a fresh payload against a
 saved reference over the *hardware-independent* metrics only (solve
 counts and speedup ratios, never raw seconds) — the regression gate run
 by CI's benchmark-smoke job via
@@ -80,7 +78,6 @@ def _solve_stats(result, seconds: float, *, backend: str) -> dict:
         "lower_bound": result.lower_bound,
         "worst_case": result.worst_case_value,
         "backend": backend,
-        "session_mode": result.session_mode,
     }
 
 
@@ -139,7 +136,7 @@ def run_bench_runtime(
         for game, uncertainty in zip(games, models):
             t1 = time.perf_counter()
             result = solve_cubis(
-                game, uncertainty, memoise=False, session="fresh", **common
+                game, uncertainty, memoise=False, **common
             )
             cold_games.append(
                 _solve_stats(result, time.perf_counter() - t1, backend=backend)
@@ -162,18 +159,14 @@ def run_bench_runtime(
                 carry = result.as_warm_start()
     warm_total = time.perf_counter() - t0
 
-    # Session pass: incremental MILP sessions, no cross-game chaining, so
-    # speedup_session isolates the session layer against the same cold
-    # baseline.
+    # Session pass: the default solve (incremental MILP session), no
+    # cross-game chaining, against the same cold baseline.
     session_games = []
     t0 = time.perf_counter()
     with telemetry.span("bench.session_pass", games=num_games):
         for game, uncertainty in zip(games, models):
             t1 = time.perf_counter()
-            result = solve_cubis(
-                game, uncertainty, memoise=True, session="incremental",
-                **common,
-            )
+            result = solve_cubis(game, uncertainty, **common)
             session_games.append(
                 _solve_stats(result, time.perf_counter() - t1, backend=backend)
             )
@@ -197,7 +190,7 @@ def run_bench_runtime(
     # Resolve pass: the online drift loop.  A standing solve of the first
     # game, re-entered after a 1% shrink, then a 10% shrink, then reset
     # cold.  The cold baseline for the headline ratio solves the *same*
-    # 10%-shrunk instance from scratch (memoise off, fresh session) —
+    # 10%-shrunk instance from scratch (memoise off) —
     # apples to apples on the post-drift intervals.
     from repro.behavior.interval import BandScaledModel
     from repro.solvers.resolve import resolve as resolve_step
@@ -247,7 +240,7 @@ def run_bench_runtime(
             })
 
         # Cold baseline: every 10%-step instance solved from scratch
-        # (memoise off, fresh session); each step keeps its own time so
+        # (memoise off); each step keeps its own time so
         # the headline can take a per-instance ratio.
         cold_step_seconds = []
         cold_final = None
@@ -255,7 +248,7 @@ def run_bench_runtime(
             drifted = BandScaledModel(model0, factor)
             t1 = time.perf_counter()
             cold_final = solve_cubis(
-                game0, drifted, memoise=False, session="fresh", **common
+                game0, drifted, memoise=False, **common
             )
             cold_step_seconds.append(time.perf_counter() - t1)
         resolve_cold_seconds = sum(cold_step_seconds)

@@ -191,7 +191,9 @@ def _default_solve(game, uncertainty, options, *, warm_start=None,
                    session=None, policy=None):
     from repro.core.cubis import solve_cubis
 
-    kwargs = dict(
+    return solve_cubis(
+        game,
+        uncertainty,
         num_segments=options["num_segments"],
         epsilon=options["epsilon"],
         backend=options["backend"],
@@ -200,10 +202,8 @@ def _default_solve(game, uncertainty, options, *, warm_start=None,
         execution_alpha=options["execution_alpha"],
         resilience=policy,
         warm_start=warm_start,
+        session=session,
     )
-    if session is not None:
-        kwargs["session"] = session
-    return solve_cubis(game, uncertainty, **kwargs)
 
 
 class SolveEngine:
@@ -464,13 +464,12 @@ class SolveEngine:
                     "repro_service_queue_size").set(len(self._queue))
             self._run_job(job, sessions)
 
-    def _lease_session(self, sessions: dict, options: dict, policy):
-        """The worker's persistent per-backend MilpSession, when the
-        request is session-eligible (structure sharing across requests
-        via the engine-wide shape cache)."""
-        if (policy is not None or options["oracle"] != "milp"
-                or options["session"] == "fresh"):
-            return "fresh" if options["session"] == "fresh" else None
+    def _lease_session(self, sessions: dict, options: dict):
+        """The worker's persistent per-backend MilpSession for every
+        ``oracle="milp"`` request, ladder or not (structure sharing
+        across requests via the engine-wide shape cache)."""
+        if options["oracle"] != "milp":
+            return None
         backend = options["backend"]
         session = sessions.get(backend)
         if session is None:
@@ -568,7 +567,7 @@ class SolveEngine:
             else:
                 game, uncertainty, options = build_instance(job.canonical)
                 policy = self._policy_factory(options)
-                session = self._lease_session(sessions, options, policy)
+                session = self._lease_session(sessions, options)
                 warm = self._lookup_warm(job.canonical)
                 with use_telemetry(worker_tele), use_shape_cache(self._shape_cache):
                     with worker_tele.span("service.solve", request=job.request_id,

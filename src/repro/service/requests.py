@@ -71,7 +71,6 @@ SOLVE_OPTION_SPEC: dict[str, tuple[type, Any, tuple | None]] = {
     "oracle": (str, "milp", ("milp", "dp")),
     "equality_resources": (bool, False, None),
     "execution_alpha": (float, 0.0, None),
-    "session": (str, "auto", ("auto", "incremental", "fresh")),
     "resilience": (bool, True, None),
 }
 
@@ -143,14 +142,6 @@ def _normalise_options(options: Mapping | None) -> dict:
     if out["execution_alpha"] < 0:
         raise RequestError(
             f"execution_alpha must be >= 0, got {out['execution_alpha']}"
-        )
-    if out["resilience"] and out["session"] == "incremental":
-        # solve_cubis rejects the combination; fail at admission instead
-        # of burning a queue slot on a request that cannot run.
-        raise RequestError(
-            "session='incremental' is incompatible with resilience=true "
-            "(the fallback ladder owns its own failure semantics); "
-            "set resilience=false or session='auto'"
         )
     return out
 
@@ -237,7 +228,7 @@ def canonicalize_resolve_request(body: Mapping) -> dict:
 
     The body shape matches ``/v1/solve`` — ``{game, uncertainty,
     options}`` — but the options the standing machinery cannot honour
-    (``oracle``, ``resilience``, ``session``) are rejected up front
+    (``oracle``, ``resilience``) are rejected up front
     instead of silently ignored.  The canonical form is a plain
     :func:`canonicalize_request` dict, so all the solve-side hashing
     helpers apply.
@@ -246,12 +237,12 @@ def canonicalize_resolve_request(body: Mapping) -> dict:
         raise RequestError(f"request body must be an object, got {type(body).__name__}")
     options = body.get("options")
     if options is not None and isinstance(options, Mapping):
-        unsupported = sorted(set(options) & {"oracle", "resilience", "session"})
+        unsupported = sorted(set(options) & {"oracle", "resilience"})
         if unsupported:
             raise RequestError(
                 f"options {unsupported} are not supported by the resolve "
-                "endpoint: a standing session manages the oracle, failure "
-                f"semantics and session reuse itself; supported: "
+                "endpoint: a standing session manages the oracle and "
+                f"failure semantics itself; supported: "
                 f"{sorted(RESOLVE_OPTION_KEYS)}"
             )
     merged = dict(body)
@@ -335,7 +326,7 @@ def solve_payload(result) -> dict:
         "iterations": int(result.iterations),
         "converged": bool(result.converged),
         "degraded": bool(result.degraded),
-        "session_mode": str(result.session_mode),
+        "session_patches": int(result.session_patches),
         "milp_solves": int(result.milp_solves),
         "lp_solves": int(result.lp_solves),
         "cache_hits": int(result.cache_hits),

@@ -221,7 +221,7 @@ class FleetResult:
     share: bool
     solve_seconds: float
     shape_stats: dict
-    session_stats: dict | None
+    session_stats: dict
 
     def __len__(self) -> int:
         return len(self.results)
@@ -318,12 +318,8 @@ def solve_fleet(
             continuation=bool(continuation), share=bool(share),
             shape_hits=0, shape_misses=0, shape_hit_rate=None,
         )
-        session = (
-            MilpSession(
-                None, backend=backend, carry_incumbent=bool(continuation)
-            )
-            if "resilience" not in solve_options
-            else None
+        session = MilpSession(
+            None, backend=backend, carry_incumbent=bool(continuation)
         )
         results = []
         carry = None
@@ -334,7 +330,7 @@ def solve_fleet(
                     uncertainty,
                     oracle="milp",
                     backend=backend,
-                    session=session if session is not None else "auto",
+                    session=session,
                     warm_start=carry,
                     **solve_options,
                 )
@@ -365,7 +361,7 @@ def solve_fleet(
         share=bool(share),
         solve_seconds=timer.elapsed,
         shape_stats=cache.stats(),
-        session_stats=session.stats() if session is not None else None,
+        session_stats=session.stats(),
     )
 
 

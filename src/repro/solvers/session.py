@@ -18,13 +18,15 @@ forwarded to backends that accept a MIP start (the pure-Python ``bnb``
 backend; ``scipy.optimize.milp`` exposes no warm-start hook, so the
 HiGHS path ignores it — see :func:`~repro.solvers.milp_backend.solve_milp`).
 
-Failure semantics: a session never owns correctness.  When a backend
-errors mid-sequence the caller calls :meth:`MilpSession.invalidate` and
-re-solves that step from a fresh build; the next :meth:`prepare`
-rebuilds the live model from the skeleton templates (which in-place
-patching never touches), so one corrupted solve cannot poison the rest
-of the search.  :mod:`repro.core.cubis` wires this into a
-``resilience.attempt`` telemetry event per fallback.
+Failure semantics: a session never owns correctness.  When a step
+fails the caller calls :meth:`MilpSession.invalidate`; the next
+:meth:`prepare` rebuilds the live model from the skeleton templates
+(which in-place patching never touches), so one corrupted solve cannot
+poison the rest of the search.  :mod:`repro.core.cubis` re-solves the
+step once from that fresh build (with a ``resilience.attempt``
+telemetry event) or, under a resilience ladder, lets the ladder decide;
+every ladder rung shares the one session, passing its own backend to
+:meth:`~MilpSession.solve`.
 
 A session is not married to one game: :meth:`MilpSession.retarget`
 points it at a structure-sharing sibling skeleton (see
@@ -52,11 +54,9 @@ class MilpSession:
     skeleton:
         The :class:`~repro.core.milp.CubisMilpSkeleton` of the game.
     backend:
-        MILP backend name or callable, forwarded to
-        :func:`~repro.solvers.milp_backend.solve_milp`.
-    warm_start:
-        Carry each optimal solution to the next solve as an incumbent
-        (only backends that support MIP starts use it).
+        Default MILP backend name or callable, forwarded to
+        :func:`~repro.solvers.milp_backend.solve_milp` (a
+        :meth:`solve` call may override it).
     carry_incumbent:
         Keep the incumbent across :meth:`retarget` boundaries, seeding
         the *next game's* first solve with the previous game's optimum —
@@ -81,12 +81,10 @@ class MilpSession:
         skeleton,
         *,
         backend="highs",
-        warm_start: bool = True,
         carry_incumbent: bool = False,
     ) -> None:
         self.skeleton = skeleton
         self.backend = backend
-        self.use_warm_start = bool(warm_start)
         self.carry_incumbent = bool(carry_incumbent)
         self._model = None
         self._c: float | None = None
@@ -213,8 +211,9 @@ class MilpSession:
         self._base_skeleton = None
         return model
 
-    def solve(self, **backend_options) -> MILPResult:
-        """Solve the currently prepared model with the session backend.
+    def solve(self, *, backend=None, **backend_options) -> MILPResult:
+        """Solve the currently prepared model with ``backend`` (default:
+        the session's).
 
         The previous step's optimum rides along as ``warm_start`` (the
         backend decides whether it can use it); an optimal result
@@ -223,10 +222,12 @@ class MilpSession:
         if self._model is None:
             raise RuntimeError("MilpSession.solve() requires a prepared model; "
                                "call prepare(c) first")
-        if self.use_warm_start and self._incumbent is not None:
+        if self._incumbent is not None:
             backend_options.setdefault("warm_start", self._incumbent)
         result = solve_milp(
-            self._model.problem, backend=self.backend, **backend_options
+            self._model.problem,
+            backend=self.backend if backend is None else backend,
+            **backend_options,
         )
         self.solves += 1
         if result.optimal:

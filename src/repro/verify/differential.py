@@ -48,13 +48,14 @@ from repro.verify.report import ConformanceCheck
 __all__ = ["PathOutcome", "DEFAULT_PATHS", "run_paths", "differential_check"]
 
 #: The solver paths the differential checker knows, in execution order.
-#: ``milp-highs`` is the fresh-build reference (``session="fresh"``: every
-#: step assembles its model from the skeleton templates) and
-#: ``milp-session`` the incremental-session pipeline (docs/PERFORMANCE.md:
-#: one live model patched in place per step), run as its own differential
-#: arm: it must agree with ``milp-highs`` within the Theorem 1 tolerance,
-#: which pins patched builds to fresh ones end to end on every battery
-#: run.
+#: ``milp-highs`` is the paper-literal cold reference (``memoise=False``:
+#: every step builds its MILP with ``build_cubis_milp``, with no skeleton,
+#: session, LP screen or certificates) and ``milp-session`` the default
+#: memoised stack (docs/PERFORMANCE.md: one live model patched in place
+#: per step behind the certificate pool and the LP screen), run as its
+#: own differential arm: it must agree with ``milp-highs`` within the
+#: Theorem 1 tolerance, which pins the whole fast path to the cold
+#: reference end to end on every battery run.
 #: ``milp-fleet`` routes the instance through a single-game
 #: :func:`repro.solvers.fleet.solve_fleet` (shared-structure skeleton
 #: lease + retargeted session), which must land inside the same theorem
@@ -224,11 +225,9 @@ def run_paths(
         return strategy, value, diag
 
     runners = {
-        "milp-highs": (lambda: cubis(backend="highs", session="fresh"), slack),
+        "milp-highs": (lambda: cubis(backend="highs", memoise=False), slack),
         "milp-bnb": (lambda: cubis(backend="bnb"), slack),
-        "milp-session": (
-            lambda: cubis(backend="highs", session="incremental"), slack,
-        ),
+        "milp-session": (lambda: cubis(backend="highs"), slack),
         "milp-fleet": (fleet, slack),
         "milp-resolve": (resolve_path, slack),
         "dp": (lambda: cubis(oracle="dp"), epsilon + dp_slack_factor * span),

@@ -26,7 +26,7 @@ Fixture layout (``schema_version`` 1)::
       "instance": {"kind": "table1"} | {"kind": "random", "num_targets": 5, "seed": 3, ...},
       "uncertainty": {"kind": "suqr", "w1": [-6, -2], "w2": [0.5, 1], "w3": [0.4, 0.9],
                        "convention": "endpoint"},
-      "solve": {"num_segments": 25, "epsilon": 1e-4, "session": "incremental"},
+      "solve": {"num_segments": 25, "epsilon": 1e-4},
       "expected": {"robust_strategy": {"value": [...], "atol": 0.02}, ...},
       "provenance": {"git_sha": "...", "regenerate_reason": null}
     }
@@ -49,10 +49,10 @@ lifetime counters (re-solves, warm hits, bracket reuses, patches) are
 recorded into provenance on regeneration, so a pinned fixture also
 documents how much of the incremental machinery the sequence exercised.
 
-The ``solve`` object accepts the optional key ``session`` (forwarded to
-:func:`~repro.core.cubis.solve_cubis` for the robust quantities), so a
-fixture can pin the incremental-session pipeline's answer specifically; the session mode the solve actually ran
-with is recorded into provenance on regeneration.
+The ``solve`` object accepts a legacy ``session`` key with one legal
+value.  It names the path such a fixture pins — the default memoised
+solve, whose MILP steps always run through a
+:class:`~repro.solvers.session.MilpSession` — and is not forwarded.
 """
 
 from __future__ import annotations
@@ -202,13 +202,11 @@ def validate_fixture(data: dict, *, where: str = "fixture") -> GoldenFixture:
     solve = _require(data, "solve", dict, where)
     _require(solve, "num_segments", int, f"{where}.solve")
     _require(solve, "epsilon", float, f"{where}.solve")
-    if "session" in solve:
-        session = solve["session"]
-        if session not in ("auto", "incremental", "fresh"):
-            raise GoldenSchemaError(
-                f"{where}.solve: 'session' must be 'auto', 'incremental' or "
-                f"'fresh', got {session!r}"
-            )
+    if solve.get("session", "incremental") != "incremental":
+        raise GoldenSchemaError(
+            f"{where}.solve: 'session' may only be 'incremental', "
+            f"got {solve['session']!r}"
+        )
 
     drift = data.get("drift")
     if drift is not None:
@@ -313,22 +311,14 @@ def measure_fixture(fixture: GoldenFixture) -> dict:
     game, uncertainty = build_instance(fixture)
     num_segments = int(fixture.solve["num_segments"])
     epsilon = float(fixture.solve["epsilon"])
-    # The optional session key selects the incremental pipeline for the
-    # robust solve (the midpoint baseline has no session machinery).
-    session_kwargs = (
-        {"session": fixture.solve["session"]} if "session" in fixture.solve
-        else {}
-    )
     measured: dict = {}
     keys = set(fixture.expected)
     if keys & {"robust_strategy", "robust_worst_case"}:
         robust = solve_cubis(
             game, uncertainty, num_segments=num_segments, epsilon=epsilon,
-            **session_kwargs,
         )
         measured["robust_strategy"] = robust.strategy.tolist()
         measured["robust_worst_case"] = float(robust.worst_case_value)
-        measured["_session_mode"] = robust.session_mode
     if keys & {"midpoint_strategy", "midpoint_worst_case"}:
         midpoint = solve_midpoint(
             game, uncertainty, num_segments=num_segments, epsilon=epsilon
@@ -353,12 +343,11 @@ def measure_fixture(fixture: GoldenFixture) -> dict:
             for key in ("resolves", "warm_hits", "bracket_reuses", "patches")
         }
     out = {key: measured[key] for key in fixture.expected}
-    # Side-channels (underscore-prefixed, never expected keys): the mode
-    # the robust solve actually ran with and the standing-solve engine's
-    # lifetime counters, recorded into provenance by regenerate_fixture.
-    for side in ("_session_mode", "_resolve_stats"):
-        if side in measured:
-            out[side] = measured[side]
+    # Side-channel (underscore-prefixed, never an expected key): the
+    # standing-solve engine's lifetime counters, recorded into provenance
+    # by regenerate_fixture.
+    if "_resolve_stats" in measured:
+        out["_resolve_stats"] = measured["_resolve_stats"]
     return out
 
 
@@ -415,7 +404,6 @@ def regenerate_fixture(
     recorded in the fixture's provenance.
     """
     measured = measure_fixture(fixture)
-    session_mode = measured.pop("_session_mode", None)
     resolve_stats = measured.pop("_resolve_stats", None)
     drifted = {
         key: _drift(entry["value"], measured[key])
@@ -440,8 +428,6 @@ def regenerate_fixture(
         "regenerate_reason": reason,
         "drifted_keys": sorted(drifted),
     }
-    if session_mode is not None:
-        provenance["session_mode"] = session_mode
     if resolve_stats is not None:
         provenance["resolve_stats"] = resolve_stats
     return GoldenFixture(

@@ -285,52 +285,51 @@ class TestSessionLayer:
     def test_incremental_matches_fresh_bit_for_bit(
         self, small_interval_game, small_uncertainty
     ):
-        fresh = self.solve(small_interval_game, small_uncertainty, session="fresh")
-        inc = self.solve(small_interval_game, small_uncertainty, session="incremental")
+        from repro.resilience import ResiliencePolicy, Rung
+
+        # An unvalidated single-rung ladder keeps exact MILP steps (no
+        # pool, no LP screen) but prepares every model through the
+        # session; the memoise=False reference builds each one cold.
+        policy = ResiliencePolicy(rungs=(Rung("milp", "highs"),),
+                                  validate_steps=False)
+        fresh = self.solve(small_interval_game, small_uncertainty,
+                           resilience=policy, memoise=False)
+        inc = self.solve(small_interval_game, small_uncertainty,
+                         resilience=policy)
         # Patched models are bit-identical to fresh builds and HiGHS gets
         # no warm start, so the whole search replays identically.
         np.testing.assert_array_equal(inc.strategy, fresh.strategy)
+        assert inc.trace == fresh.trace
         assert inc.lower_bound == fresh.lower_bound
         assert inc.upper_bound == fresh.upper_bound
-        assert inc.session_mode == "incremental"
-        assert fresh.session_mode == "fresh"
+        assert inc.milp_solves == fresh.milp_solves == fresh.iterations
         assert inc.session_patches > 0
+        assert fresh.session_patches == 0
         assert inc.session_fallbacks == 0
 
     def test_auto_mode_resolution(self, small_interval_game, small_uncertainty):
+        # memoise alone selects the path: the session stack or the cold
+        # per-step build.
         memo = self.solve(small_interval_game, small_uncertainty, memoise=True)
         cold = self.solve(small_interval_game, small_uncertainty, memoise=False)
-        assert memo.session_mode == "incremental"
-        assert cold.session_mode == "fresh"
+        assert memo.session_patches > 0
         assert cold.session_patches == 0
-
-    def test_incremental_requires_milp_without_resilience(
-        self, small_interval_game, small_uncertainty
-    ):
-        from repro.resilience import ResiliencePolicy
-
-        with pytest.raises(ValueError, match="session='incremental'"):
-            self.solve(small_interval_game, small_uncertainty,
-                       session="incremental", oracle="dp")
-        with pytest.raises(ValueError, match="session='incremental'"):
-            self.solve(small_interval_game, small_uncertainty,
-                       session="incremental", resilience=ResiliencePolicy())
 
     def test_invalid_session_rejected(
         self, small_interval_game, small_uncertainty
     ):
-        with pytest.raises(ValueError, match="session"):
+        # The retired mode strings are not sessions.
+        with pytest.raises(TypeError, match="session"):
             self.solve(small_interval_game, small_uncertainty, session="sticky")
 
     def test_bnb_session_matches_highs_session(
         self, small_interval_game, small_uncertainty
     ):
         highs = self.solve(small_interval_game, small_uncertainty,
-                           session="incremental", backend="highs")
-        bnb = self.solve(small_interval_game, small_uncertainty,
-                         session="incremental", backend="bnb")
+                           backend="highs")
+        bnb = self.solve(small_interval_game, small_uncertainty, backend="bnb")
         assert bnb.lower_bound == pytest.approx(highs.lower_bound, abs=1e-6)
-        assert bnb.session_mode == "incremental"
+        assert bnb.session_patches > 0
 
 
 class TestSessionFailureSemantics:
@@ -356,21 +355,21 @@ class TestSessionFailureSemantics:
     ):
         from repro import telemetry
 
+        # A callable backend gets no LP screen, so every pool miss is a
+        # MILP solve through the session.
+        steady, _ = self._flaky_backend(fail_on_call=0)
         ref = solve_cubis(small_interval_game, small_uncertainty,
-                          num_segments=8, epsilon=0.01,
-                          memoise=False, session="fresh")
-        flaky, calls = self._flaky_backend(fail_on_call=4)
+                          num_segments=8, epsilon=0.01, backend=steady)
+        flaky, calls = self._flaky_backend(fail_on_call=2)
         tele = telemetry.Telemetry()
         with telemetry.use(tele):
             result = solve_cubis(small_interval_game, small_uncertainty,
-                                 num_segments=8, epsilon=0.01,
-                                 memoise=False, session="incremental",
-                                 backend=flaky)
+                                 num_segments=8, epsilon=0.01, backend=flaky)
 
         # Exactly one fallback: the failing step was re-solved from a
         # fresh build once, every other step stayed incremental.
         assert result.session_fallbacks == 1
-        assert calls["n"] == result.oracle_calls + 1
+        assert calls["n"] == result.milp_solves == ref.milp_solves + 1
         np.testing.assert_array_equal(result.strategy, ref.strategy)
         assert result.lower_bound == ref.lower_bound
         assert result.upper_bound == ref.upper_bound
@@ -391,5 +390,4 @@ class TestSessionFailureSemantics:
 
         with pytest.raises(RuntimeError, match="backend is down"):
             solve_cubis(small_interval_game, small_uncertainty,
-                        num_segments=8, epsilon=0.01,
-                        memoise=False, session="incremental", backend=broken)
+                        num_segments=8, epsilon=0.01, backend=broken)

@@ -100,7 +100,7 @@ class TestLadderKeepsFastPath:
         game = random_interval_game(num_targets, seed=seed)
         uncertainty = default_uncertainty(game.payoffs)
         laddered = solve_cubis(game, uncertainty, resilience=ResiliencePolicy())
-        plain = solve_cubis(game, uncertainty, session="fresh")
+        plain = solve_cubis(game, uncertainty)
         assert not laddered.degraded
         assert np.array_equal(laddered.strategy, plain.strategy)
         assert laddered.lower_bound == plain.lower_bound
@@ -110,7 +110,38 @@ class TestLadderKeepsFastPath:
             plain.lp_solves, plain.milp_solves, plain.cache_hits
         )
         assert laddered.milp_solves == 0
+        assert laddered.session_patches == plain.session_patches > 0
         assert sum(laddered.resilience.rung_counts) == laddered.iterations
+
+    @pytest.mark.parametrize("mode", ["error", "perturb"])
+    def test_failing_rung_invalidates_the_shared_session(self, instance, mode):
+        # Every MILP rung prepares its model through one session.  A highs
+        # failure (a solver error, or a perturbed solution that fails step
+        # validation) drops the live model and escalates; the bnb rung's
+        # prepare is then a fresh build, and no step is retried in place.
+        from repro.solvers.session import MilpSession
+
+        game, uncertainty = instance
+        injector = FaultInjector(0.5, modes=(mode,), seed=4)
+        policy = ResiliencePolicy(
+            rungs=(Rung("milp", injector.wrap("highs")), Rung("milp", "bnb")),
+            max_retries=0,
+        )
+        session = MilpSession(None)
+        result = solve_cubis(
+            game, uncertainty, num_segments=10, epsilon=1e-3,
+            resilience=policy, session=session,
+        )
+        report = result.resilience
+        assert injector.faults > 0
+        assert report.failed_attempts == injector.faults
+        assert report.rung_counts[1] == report.failed_attempts
+        assert session.fallbacks == report.failed_attempts
+        assert session.fresh_builds == 1 + session.fallbacks
+        assert session.solves == result.milp_solves
+        assert result.session_fallbacks == 0
+        assert result.session_patches > 0
+        assert certify_result(game, uncertainty, result).valid
 
     def test_failing_screen_escalates_like_a_failing_milp(self, monkeypatch):
         # The LP screen is a backend call of its rung: when HiGHS raises on

@@ -45,7 +45,7 @@ def make_fake_result(value: float = -1.0, targets: int = 4):
         iterations=3,
         converged=True,
         degraded=False,
-        session_mode="none",
+        session_patches=0,
         milp_solves=1,
         lp_solves=0,
         cache_hits=0,

@@ -252,6 +252,7 @@ class TestVerifyEndpoint:
             solved = client.solve(game_to_dict(game))
         assert solved["milp_solves"] == 0, solved
         assert solved["lp_solves"] > 0
+        assert solved["session_patches"] > 0
         assert solved["degraded"] is False
         certificate = certify_result(
             game, default_uncertainty(game.payoffs), result_from_payload(solved)

@@ -179,8 +179,7 @@ class TestDistinctness:
     @pytest.mark.parametrize("option, other", [
         ("num_segments", 12), ("epsilon", 0.1), ("backend", "bnb"),
         ("oracle", "dp"), ("equality_resources", True),
-        ("execution_alpha", 0.05), ("session", "fresh"),
-        ("resilience", False),
+        ("execution_alpha", 0.05), ("resilience", False),
     ])
     def test_every_option_is_hash_significant(self, option, other):
         default = {name: spec[1] for name, spec in SOLVE_OPTION_SPEC.items()}
@@ -212,8 +211,8 @@ class TestValidation:
             canonicalize_request(body)
 
     def test_unknown_option_rejected(self):
-        # A retired solve option is refused too, not silently ignored.
-        for options in ({"turbo": True}, {"speculation": 3}):
+        # Retired solve options are refused too, not silently ignored.
+        for options in ({"turbo": True}, {"speculation": 3}, {"session": "auto"}):
             with pytest.raises(RequestError, match="unknown solve options"):
                 canonicalize_request(_body(options=options))
 
@@ -230,14 +229,12 @@ class TestValidation:
             canonicalize_request(_body(options={"backend": "cplex"}))
 
     def test_incremental_with_resilience_rejected(self):
-        with pytest.raises(RequestError, match="incompatible"):
+        # The session option is retired: every MILP request, ladder or
+        # not, runs through the worker's session, so asking for one is an
+        # unknown option rather than an incompatible one.
+        with pytest.raises(RequestError, match="unknown solve options"):
             canonicalize_request(
                 _body(options={"session": "incremental", "resilience": True}))
-
-    def test_incremental_without_resilience_accepted(self):
-        canonical = canonicalize_request(
-            _body(options={"session": "incremental", "resilience": False}))
-        assert canonical["options"]["session"] == "incremental"
 
     def test_missing_game_rejected(self):
         with pytest.raises(RequestError, match="'game'"):

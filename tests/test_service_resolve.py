@@ -47,10 +47,12 @@ def resolve_payload(ticket) -> dict:
 
 class TestCanonicalizeResolveRequest:
     def test_rejects_standing_incompatible_options(self):
-        for key, value in (("oracle", "dp"), ("resilience", True),
-                           ("session", "fresh")):
+        for key, value in (("oracle", "dp"), ("resilience", True)):
             with pytest.raises(RequestError, match="not supported"):
                 canonicalize_resolve_request(resolve_body(**{key: value}))
+        # The retired session option is unknown to every endpoint.
+        with pytest.raises(RequestError, match="unknown solve options"):
+            canonicalize_resolve_request(resolve_body(**{"session": "auto"}))
 
     def test_disables_resilience_in_canonical_form(self):
         canonical = canonicalize_resolve_request(resolve_body())

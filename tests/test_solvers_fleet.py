@@ -160,7 +160,7 @@ class TestSolveFleetMilp:
         games, models = make_fleet(4)
         fleet = solve_fleet(games, models, continuation=False, **SOLVE)
         for game, model, got in zip(games, models, fleet):
-            want = solve_cubis(game, model, session="incremental", **SOLVE)
+            want = solve_cubis(game, model, **SOLVE)
             assert_results_identical(got, want)
 
     def test_share_axis_is_bit_identical(self):
@@ -260,6 +260,6 @@ class TestFleetPropertyBitIdentity:
         fleet = solve_fleet(
             [game, game], [model, model], continuation=False, **SOLVE
         )
-        want = solve_cubis(game, model, session="incremental", **SOLVE)
+        want = solve_cubis(game, model, **SOLVE)
         for got in fleet:
             assert_results_identical(got, want)

@@ -55,7 +55,6 @@ def assert_bit_identical(handle, outcome, drifted):
     cold = solve_cubis(
         handle.game,
         drifted,
-        session="incremental",
         warm_start=outcome.warm_start,
         num_segments=handle.options["num_segments"],
         epsilon=handle.options["epsilon"],

@@ -76,6 +76,23 @@ class TestMilpSession:
             assert got.objective == pytest.approx(want.objective, abs=1e-9)
         assert session.solves == 3
 
+    def test_solve_backend_override(self):
+        # Ladder rungs share one session, each passing its own backend.
+        skeleton, _ = make_skeleton()
+        session = MilpSession(skeleton, backend="highs")
+        seen = []
+
+        def spy(problem, **options):
+            seen.append(options)
+            return solve_milp(problem, backend="highs")
+
+        session.prepare(0.5)
+        want = session.solve()
+        got = session.solve(backend=spy)
+        assert got.objective == want.objective
+        assert seen == [{}]  # callables get no incumbent
+        assert session.solves == 2
+
     def test_incumbent_carried_between_solves(self):
         skeleton, _ = make_skeleton()
         session = MilpSession(skeleton, backend="bnb")

@@ -67,6 +67,10 @@ class TestSchema:
                 "value",
             ),
             ({"solve": {"epsilon": 0.01}}, "num_segments"),
+            (
+                {"solve": {"num_segments": 5, "epsilon": 0.01, "session": "fresh"}},
+                "session",
+            ),
         ],
     )
     def test_malformed_fixture_rejected(self, mutation, match):
